@@ -438,12 +438,17 @@ let run_experiments pool size csv_dir json_dir exps =
 
 (* --perf: three passes over the selected grid — cold serial, cold
    parallel, warm — and the ratios the ROADMAP cares about. The disk
-   cache is left out so each cold pass really simulates. *)
+   cache is left out so each cold pass really simulates. The serial
+   pass also reports minor words allocated per simulated instruction
+   (whole pass: simulation, translation and rendering); only there is
+   the figure complete, since [Gc.minor_words] counts the calling
+   domain alone. *)
 let run_perf size jobs exps =
   Run.set_cache_dir None;
   let pass label pool =
     Run.clear_cache ();
     let i0 = Run.simulated_instructions () in
+    let w0 = Gc.minor_words () in
     let t0 = now () in
     List.iter
       (fun e ->
@@ -451,9 +456,14 @@ let run_perf size jobs exps =
         ignore (e.Experiments.run size))
       exps;
     let dt = now () -. t0 in
-    let mi = float_of_int (Run.simulated_instructions () - i0) /. 1e6 in
-    Printf.printf "  %-28s %8.2fs  %7.0f Minstrs  %6.1f MIPS\n%!" label dt mi
+    let di = Run.simulated_instructions () - i0 in
+    let mi = float_of_int di /. 1e6 in
+    Printf.printf "  %-28s %8.2fs  %7.0f Minstrs  %6.1f MIPS" label dt mi
       (mi /. Float.max dt 1e-9);
+    if Option.is_none pool then
+      Printf.printf "  %6.3f minor words/instr"
+        ((Gc.minor_words () -. w0) /. float_of_int (max di 1));
+    print_newline ();
     dt
   in
   Printf.printf "== perf: %d experiments, %s size ==\n%!" (List.length exps)

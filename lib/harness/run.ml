@@ -57,6 +57,7 @@ let exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] ref =
     | Some _ | None -> `Block)
 
 let set_exec_mode m = exec_mode := m
+let get_exec_mode () = !exec_mode
 
 let run_machine ~max_steps m =
   match !exec_mode with

@@ -102,6 +102,10 @@ val set_exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] -> unit
     ([step] | [block] | [block-nochain] | [trace]), which the CI matrix
     uses to re-run the whole suite per mode. *)
 
+val get_exec_mode : unit -> [ `Step | `Block | `Block_nochain | `Trace ]
+(** The interpreter loop simulated cells currently use, so a caller
+    that pins one with {!set_exec_mode} can restore it. *)
+
 val simulated_instructions : unit -> int
 (** Guest instructions executed by actually-simulated runs (memoized
     cells add nothing) since process start; accumulated atomically

@@ -36,6 +36,10 @@ module Timing = Sdt_march.Timing
 
 type t = {
   start : int;
+  (* [Some] of this very block, boxed once at creation: every chain
+     link and table slot that points here shares it, so installing or
+     promoting a link allocates nothing *)
+  self : t option;
   mutable gen : int;
   mutable n_instrs : int; (* body length + 1 if [term] is a real
                              instruction (fall-through terminators of
@@ -960,17 +964,21 @@ let compile cache start =
 let fresh cache start =
   cache.decodes <- cache.decodes + 1;
   let body, term, gen, n, static_cycles, cyc_prefix = compile cache start in
-  {
-    start;
-    gen;
-    n_instrs = n;
-    body;
-    term;
-    static_cycles;
-    cyc_prefix;
-    heat = 0;
-    trace = None;
-  }
+  let rec b =
+    {
+      start;
+      self = Some b;
+      gen;
+      n_instrs = n;
+      body;
+      term;
+      static_cycles;
+      cyc_prefix;
+      heat = 0;
+      trace = None;
+    }
+  in
+  b
 
 (* Recompile a stale block in place. The record identity survives so
    that links held by predecessors come back to life once the new
@@ -1003,7 +1011,7 @@ let find cache pc =
       b
   | _ ->
       let b = fresh cache pc in
-      Array.unsafe_set cache.tbl slot (Some b);
+      Array.unsafe_set cache.tbl slot b.self;
       b
 
 (* ------------------------------------------------------------------ *)
@@ -1026,7 +1034,7 @@ let follow_static cache (s : static_link) =
   | stale ->
       sever_if_linked cache stale;
       let b = find cache s.s_target in
-      if cache.chain then s.s_link <- Some b;
+      if cache.chain then s.s_link <- b.self;
       b
 
 let follow_cond cache (cd : cond_link) taken =
@@ -1038,7 +1046,7 @@ let follow_cond cache (cd : cond_link) taken =
     | stale ->
         sever_if_linked cache stale;
         let b = find cache cd.c_taken in
-        if cache.chain then cd.c_tlink <- Some b;
+        if cache.chain then cd.c_tlink <- b.self;
         b
   else
     match cd.c_flink with
@@ -1048,7 +1056,7 @@ let follow_cond cache (cd : cond_link) taken =
     | stale ->
         sever_if_linked cache stale;
         let b = find cache cd.c_fall in
-        if cache.chain then cd.c_flink <- Some b;
+        if cache.chain then cd.c_flink <- b.self;
         b
 
 (* May an indirect edge to [target] be cached? A CFI link guard refuses
@@ -1078,16 +1086,16 @@ let follow_indirect cache (ind : ind_link) target =
     | stale ->
         sever_if_linked cache stale;
         let b = find cache target in
-        if cacheable cache target then ind.i_l0 <- Some b;
+        if cacheable cache target then ind.i_l0 <- b.self;
         b
   else if ind.i_pc1 = target then
     match ind.i_l1 with
-    | Some b when b.gen = !(cache.gen) ->
+    | Some b as l1 when b.gen = !(cache.gen) ->
         cache.chain_hits <- cache.chain_hits + 1;
         ind.i_pc1 <- ind.i_pc0;
         ind.i_l1 <- ind.i_l0;
         ind.i_pc0 <- target;
-        ind.i_l0 <- Some b;
+        ind.i_l0 <- l1;
         b
     | stale ->
         sever_if_linked cache stale;
@@ -1096,7 +1104,7 @@ let follow_indirect cache (ind : ind_link) target =
           ind.i_pc1 <- ind.i_pc0;
           ind.i_l1 <- ind.i_l0;
           ind.i_pc0 <- target;
-          ind.i_l0 <- Some b
+          ind.i_l0 <- b.self
         end;
         b
   else begin
@@ -1105,7 +1113,7 @@ let follow_indirect cache (ind : ind_link) target =
       ind.i_pc1 <- ind.i_pc0;
       ind.i_l1 <- ind.i_l0;
       ind.i_pc0 <- target;
-      ind.i_l0 <- Some b
+      ind.i_l0 <- b.self
     end;
     b
   end

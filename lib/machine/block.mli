@@ -33,6 +33,10 @@ module Inst = Sdt_isa.Inst
 
 type t = {
   start : int;  (** immutable: links may outlive table residency *)
+  self : t option;
+      (** [Some] of this block, boxed once when it is created. Every
+          chain link and table slot pointing here reuses it, so
+          installing or MRU-promoting a link allocates nothing. *)
   mutable gen : int;  (** {!Memory.code_gen} the compilation is valid for *)
   mutable n_instrs : int;
       (** instructions the full block executes (body + real terminator) *)

@@ -44,9 +44,11 @@ let config t = t.cfg
 let line_index t addr = addr lsr t.line_shift
 
 (* Allocation-free: this runs once per simulated load/store (dcache)
-   and per fetched line (icache), so the probe returns a way index
-   instead of an option and the indices stay in [0, sets*assoc) by
-   construction (unsafe accesses). *)
+   and per fetched line (icache). The way search is a [while] loop over
+   a local ref, which the compiler keeps in a register; a local
+   [let rec probe] would capture [tags]/[base]/[line] in a closure that
+   (without flambda) is heap-allocated on every call. The indices stay
+   in [0, sets*assoc) by construction (unsafe accesses). *)
 let access t addr =
   let line = addr lsr t.line_shift in
   let set = line land (t.sets - 1) in
@@ -54,15 +56,13 @@ let access t addr =
   let base = set * assoc in
   t.clock <- t.clock + 1;
   let tags = t.tags and stamps = t.stamps in
-  let rec probe i =
-    if i = assoc then -1
-    else if Array.unsafe_get tags (base + i) = line then i
-    else probe (i + 1)
-  in
-  let way = probe 0 in
-  if way >= 0 then begin
+  let way = ref 0 in
+  while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
+    incr way
+  done;
+  if !way < assoc then begin
     t.hits <- t.hits + 1;
-    Array.unsafe_set stamps (base + way) t.clock;
+    Array.unsafe_set stamps (base + !way) t.clock;
     true
   end
   else begin

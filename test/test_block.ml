@@ -20,6 +20,7 @@ module Stats = Sdt_core.Stats
 module Runtime = Sdt_core.Runtime
 module Suite = Sdt_workloads.Suite
 module Synthetic = Sdt_workloads.Synthetic
+module Run = Sdt_harness.Run
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -704,6 +705,96 @@ let test_probe_falls_back () =
   let plain = native_fingerprint arch program `Block in
   check_equivalent "probed run matches unprobed totals" plain probed
 
+(* ------------------------------------------------------------------ *)
+(* Allocation gate: in steady state the simulation loop allocates
+   nothing on the minor heap. Each cell runs at two sizes of the same
+   program; the difference in [Gc.minor_words] over the difference in
+   simulated instructions is the marginal allocation per instruction,
+   in which loading, translation and block compilation (the same at
+   both sizes) cancel out. The figure is exact and deterministic:
+   everything runs on this one domain, and [Gc.minor_words] counts the
+   calling domain only.
+
+   `Trace is not gated: trace formation and dispatch still allocate
+   (about 0.05 words per instruction on gcc and 0.08 on the micro,
+   from the [Some (b, P_...)] tuples of the predicted-path walk). *)
+
+let alloc_bound = 0.02
+
+let alloc_programs =
+  let suite name =
+    let e = Option.get (Suite.find name) in
+    (name, fun k -> e.Suite.build ~size:(k * e.Suite.ref_size / 2))
+  in
+  List.map suite [ "perlbmk"; "gcc"; "mcf" ]
+  @ [
+      ( "micro",
+        fun k ->
+          Synthetic.build
+            { Synthetic.default with Synthetic.seed = 7; iters = k * 1_000 } );
+    ]
+
+let alloc_configs =
+  [
+    ("ibtc", Config.default);
+    ("sieve", { Config.default with mech = Config.Sieve Config.default_sieve });
+    ( "adaptive",
+      { Config.default with mech = Config.Adaptive Config.default_adaptive } );
+  ]
+
+(* minor words and simulated instructions spent by [f] *)
+let alloc_of f =
+  let w0 = Gc.minor_words () and i0 = Run.simulated_instructions () in
+  f ();
+  (Gc.minor_words () -. w0, Run.simulated_instructions () - i0)
+
+(* (label, (words, instructions)) of the native run and every SDT
+   configuration of one program size; the native run is measured on its
+   own and then served from the memo to the SDT runs *)
+let alloc_cells arch name program =
+  Run.clear_cache ();
+  let key = name and build () = program in
+  let native = alloc_of (fun () -> ignore (Run.native ~arch ~key build)) in
+  ("native", native)
+  :: List.map
+       (fun (label, cfg) ->
+         (label, alloc_of (fun () -> ignore (Run.sdt ~arch ~cfg ~key build))))
+       alloc_configs
+
+let test_steady_state_allocation () =
+  let saved = Run.get_exec_mode () in
+  Fun.protect
+    ~finally:(fun () ->
+      Run.set_exec_mode saved;
+      Run.clear_cache ())
+    (fun () ->
+      let failures = ref [] in
+      List.iter
+        (fun mode ->
+          Run.set_exec_mode mode;
+          List.iter
+            (fun (arch : Arch.t) ->
+              List.iter
+                (fun (name, build) ->
+                  let small = alloc_cells arch name (build 1) in
+                  let large = alloc_cells arch name (build 2) in
+                  List.iter2
+                    (fun (label, (w1, i1)) (_, (w2, i2)) ->
+                      let per_instr = (w2 -. w1) /. float_of_int (i2 - i1) in
+                      if i2 <= i1 || per_instr > alloc_bound then
+                        failures :=
+                          Printf.sprintf "%s %s %s %s: %.4f words/instr"
+                            (mode_name mode) arch.Arch.name name label per_instr
+                          :: !failures)
+                    small large)
+                alloc_programs)
+            [ Arch.arch_a; Arch.arch_b; Arch.arch_c ])
+        [ `Step; `Block; `Block_nochain ];
+      if !failures <> [] then
+        Alcotest.failf "marginal allocation above %.2f words/instr:\n  %s"
+          alloc_bound
+          (String.concat "\n  " (List.rev !failures)))
+
 let () =
   Alcotest.run "sdt_block"
     [
@@ -730,6 +821,11 @@ let () =
         [
           Alcotest.test_case "slot collision: bounded decodes via links"
             `Quick test_collision_decode_ceiling;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_steady_state_allocation;
         ] );
       ( "traces",
         [

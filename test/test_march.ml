@@ -330,6 +330,56 @@ let prop_cache_miss_then_hit =
       ignore (Cache.access c addr);
       Cache.access c addr)
 
+(* [Cache.access] against a naive reference LRU: each set is a list of
+   resident lines, most recent first and at most [assoc] long; a miss
+   pushes the line on the front and drops the tail. Streams draw from
+   twice the cache's line capacity so hits, conflict misses and
+   evictions all occur, and every way count the presets use is
+   covered. *)
+let prop_cache_matches_lru_model =
+  let line = 16 in
+  let gen =
+    QCheck.Gen.(
+      let* assoc = oneofl [ 1; 2; 4; 8 ] in
+      let* sets = oneofl [ 1; 2; 4 ] in
+      let* stream =
+        list_size (int_range 1 400)
+          (pair (int_bound ((2 * assoc * sets) - 1)) (int_bound (line - 1)))
+      in
+      return (assoc, sets, stream))
+  in
+  QCheck.Test.make ~count:300
+    ~name:"cache: hit/miss sequence matches a list-based LRU model"
+    (QCheck.make
+       ~print:QCheck.Print.(triple int int (list (pair int int)))
+       gen)
+    (fun (assoc, sets, stream) ->
+      let c =
+        Cache.create (cache_cfg ~size:(sets * assoc * line) ~line ~assoc ())
+      in
+      let model = Array.make sets [] in
+      let model_access l =
+        let s = l land (sets - 1) in
+        let hit = List.mem l model.(s) in
+        model.(s) <-
+          List.filteri
+            (fun i _ -> i < assoc)
+            (l :: List.filter (( <> ) l) model.(s));
+        hit
+      in
+      let hits = ref 0 in
+      let same =
+        List.for_all
+          (fun (l, off) ->
+            let expect = model_access l in
+            if expect then incr hits;
+            Cache.access c ((l * line) + off) = expect)
+          stream
+      in
+      same
+      && Cache.hits c = !hits
+      && Cache.misses c = List.length stream - !hits)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sdt_march"
@@ -343,6 +393,7 @@ let () =
           Alcotest.test_case "bad geometry" `Quick test_cache_bad_geometry;
           qt prop_cache_fits_working_set;
           qt prop_cache_miss_then_hit;
+          qt prop_cache_matches_lru_model;
         ] );
       ( "predictors",
         [
