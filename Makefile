@@ -1,6 +1,6 @@
 # Convenience targets; everything real lives in dune.
 
-.PHONY: all build test bench-smoke bench-par-smoke bench-json perf perf-exec perf-exec-smoke perf-chain perf-trace perf-adapt perf-serve perf-cfi perf-check perf-check-smoke check clean
+.PHONY: all build test bench-smoke bench-par-smoke bench-json perf perf-exec perf-exec-smoke perf-chain perf-adapt perf-serve perf-cfi perf-check perf-check-smoke check clean
 
 all: build
 
@@ -35,26 +35,22 @@ perf:
 	dune exec bench/main.exe -- --size test --no-bechamel --perf --jobs 0
 
 # time the full grid once per interpreter loop (per-step, block
-# without chaining, chained blocks, hot-trace superblocks) and print
-# every pairwise wall-clock ratio plus the chained and trace speedups
-# over the committed bench/baselines/ seconds (all passes cold, serial)
+# without chaining, chained blocks) and print every pairwise wall-clock
+# ratio plus the chained speedup over the committed bench/baselines/
+# seconds (all passes cold, serial)
 perf-exec:
 	dune exec bench/main.exe -- --size test --no-bechamel \
-	  --perf-exec step,block-nochain,block,trace
+	  --perf-exec step,block-nochain,block
 
 # just the chained pass and its ratio against the committed baselines
 perf-chain:
 	dune exec bench/main.exe -- --size test --no-bechamel --perf-exec block
 
-# just the trace pass and its ratio against the committed baselines
-perf-trace:
-	dune exec bench/main.exe -- --size test --no-bechamel --perf-exec trace
-
 # dry-run form of the exec matrix (one small experiment) so `check`
 # exercises the mode plumbing without the full grid cost
 perf-exec-smoke:
 	dune exec bench/main.exe -- --size test --only T1 --no-bechamel \
-	  --perf-exec step,block-nochain,block,trace
+	  --perf-exec step,block-nochain,block
 
 # the adaptive-selection experiment: the regression gate on F10 (run
 # behind F8/F9 so the in-run memo mirrors the full-grid baseline

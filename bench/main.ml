@@ -22,6 +22,7 @@
 module Experiments = Sdt_harness.Experiments
 module Table = Sdt_harness.Table
 module Run = Sdt_harness.Run
+module Machine = Sdt_machine.Machine
 module Meta = Sdt_harness.Meta
 module Perfgate = Sdt_harness.Perfgate
 module Pool = Sdt_par.Pool
@@ -38,7 +39,7 @@ type options = {
   mutable cache_dir : string option;
   mutable perf : bool;
   mutable perf_exec : string option;
-  mutable exec_mode : [ `Step | `Block | `Block_nochain | `Trace ];
+  mutable exec_mode : Machine.mode;
   mutable telemetry : string option;
   mutable check_perf : bool;
   mutable best_of : int;
@@ -47,24 +48,13 @@ type options = {
   mutable trajectory : string;
 }
 
-let mode_of_string = function
-  | "step" -> Some `Step
-  | "block" -> Some `Block
-  | "block-nochain" -> Some `Block_nochain
-  | "trace" -> Some `Trace
-  | _ -> None
-
-let mode_name = function
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Block_nochain -> "block-nochain"
-  | `Trace -> "trace"
-
-let mode_label = function
-  | `Step -> "per-step interpreter"
-  | `Block -> "chained block interpreter"
-  | `Block_nochain -> "block interpreter (no chain)"
-  | `Trace -> "trace/superblock interpreter"
+(* parse one exec-mode name for [flag], exiting 2 on anything else *)
+let parse_mode flag v =
+  match Machine.mode_of_string v with
+  | Ok m -> m
+  | Error msg ->
+      Printf.eprintf "%s: %s\n" flag msg;
+      exit 2
 
 (* one row per option: flag, value placeholder ("" = boolean), doc,
    handler — the usage string and the dispatch loop both derive from
@@ -121,24 +111,15 @@ let specs (o : options) =
     ( "--perf-exec",
       "MODES",
       "time the selected grid cold-serial once per comma-separated \
-       interpreter mode (step|block|block-nochain|trace), report the \
+       interpreter mode (step|block|block-nochain), report the \
        speedup matrix and the ratio against the committed \
        bench/baselines, then exit",
       fun v -> o.perf_exec <- Some v );
     ( "--exec-mode",
-      "step|block|block-nochain|trace",
+      String.concat "|" (List.map Machine.string_of_mode Machine.modes),
       "interpreter loop for simulated cells (default block; results are \
        bit-identical in every mode)",
-      fun v ->
-        o.exec_mode <-
-          (match mode_of_string v with
-          | Some m -> m
-          | None ->
-              Printf.eprintf
-                "--exec-mode: expected step, block, block-nochain or trace, \
-                 got %S\n"
-                v;
-              exit 2) );
+      fun v -> o.exec_mode <- parse_mode "--exec-mode" v );
     ( "--no-bechamel",
       "",
       "skip the Bechamel wall-time measurements",
@@ -285,10 +266,6 @@ type cell_report = {
   r_block_invalidations : int;  (** recompiles forced by SMC *)
   r_chain_hits : int;  (** block transitions served by a chain link *)
   r_chain_severs : int;  (** chain links dropped as stale *)
-  r_trace_compiles : int;  (** superblocks formed (trace mode only) *)
-  r_trace_entries : int;  (** dispatches that entered a valid trace *)
-  r_side_exits : int;  (** trace guard divergences *)
-  r_trace_severs : int;  (** traces dropped by a generation bump *)
   r_adapt_promotions : int;  (** adaptive tier promotions taken *)
   r_adapt_demotions : int;  (** adaptive tier demotions taken *)
   r_adapt_repatches : int;  (** adaptive exit transfers re-patched *)
@@ -319,10 +296,6 @@ let experiment_json (e : Experiments.experiment) size ~jobs seconds
       ("block_invalidations", Jsonw.Int r.r_block_invalidations);
       ("chain_hits", Jsonw.Int r.r_chain_hits);
       ("chain_severs", Jsonw.Int r.r_chain_severs);
-      ("trace_compiles", Jsonw.Int r.r_trace_compiles);
-      ("trace_entries", Jsonw.Int r.r_trace_entries);
-      ("side_exits", Jsonw.Int r.r_side_exits);
-      ("trace_severs", Jsonw.Int r.r_trace_severs);
       ("adapt_promotions", Jsonw.Int r.r_adapt_promotions);
       ("adapt_demotions", Jsonw.Int r.r_adapt_demotions);
       ("adapt_repatches", Jsonw.Int r.r_adapt_repatches);
@@ -371,10 +344,6 @@ let run_one pool size (e : Experiments.experiment) =
       r_block_invalidations = b1.Run.invalidations - b0.Run.invalidations;
       r_chain_hits = b1.Run.chain_hits - b0.Run.chain_hits;
       r_chain_severs = b1.Run.chain_severs - b0.Run.chain_severs;
-      r_trace_compiles = b1.Run.trace_compiles - b0.Run.trace_compiles;
-      r_trace_entries = b1.Run.trace_entries - b0.Run.trace_entries;
-      r_side_exits = b1.Run.side_exits - b0.Run.side_exits;
-      r_trace_severs = b1.Run.trace_severs - b0.Run.trace_severs;
       r_adapt_promotions = a1.Run.promotions - a0.Run.promotions;
       r_adapt_demotions = a1.Run.demotions - a0.Run.demotions;
       r_adapt_repatches = a1.Run.repatches - a0.Run.repatches;
@@ -486,11 +455,6 @@ let run_perf size jobs exps =
     "  block cache: %d decodes, %d invalidations, %d chain hits, %d chain \
      severs\n%!"
     b.Run.decodes b.Run.invalidations b.Run.chain_hits b.Run.chain_severs;
-  if b.Run.trace_compiles > 0 then
-    Printf.printf
-      "  trace tier: %d compiles, %d entries, %d side exits, %d severs\n%!"
-      b.Run.trace_compiles b.Run.trace_entries b.Run.side_exits
-      b.Run.trace_severs;
   let a = Run.adapt_stats () in
   if a.Run.promotions + a.Run.demotions + a.Run.repatches > 0 then
     Printf.printf
@@ -556,7 +520,7 @@ let run_perf_exec size modes exps =
     let dt = now () -. t0 in
     let mi = float_of_int (Run.simulated_instructions () - i0) /. 1e6 in
     Printf.printf "  %-28s %8.2fs  %7.0f Minstrs  %6.1f MIPS\n%!"
-      (mode_label mode) dt mi
+      (Machine.string_of_mode mode) dt mi
       (mi /. Float.max dt 1e-9);
     (mode, dt)
   in
@@ -574,8 +538,6 @@ let run_perf_exec size modes exps =
   ratio "step/chained speedup:       " `Step `Block;
   ratio "step/nochain speedup:       " `Step `Block_nochain;
   ratio "nochain/chained speedup:    " `Block_nochain `Block;
-  ratio "step/trace speedup:         " `Step `Trace;
-  ratio "chained/trace speedup:      " `Block `Trace;
   let against_baseline label mode =
     match (time_of mode, baseline_seconds exps) with
     | Some dt, Some base ->
@@ -588,8 +550,7 @@ let run_perf_exec size modes exps =
           label
     | None, _ -> ()
   in
-  against_baseline "committed-baseline/chained:" `Block;
-  against_baseline "committed-baseline/trace:  " `Trace
+  against_baseline "committed-baseline/chained:" `Block
 
 (* --check-perf: the statistical regression gate (see Perfgate). Cold,
    serial, best-of-N per experiment so one noisy repetition can't fail
@@ -601,7 +562,9 @@ let run_check_perf (o : options) exps =
   Printf.printf
     "== perf-check: %d experiments, %s size, %s, best of %d, tolerance %.2fx \
      ==\n%!"
-    (List.length exps) size_str (mode_label o.exec_mode) o.best_of o.tolerance;
+    (List.length exps) size_str
+    (Machine.string_of_mode o.exec_mode)
+    o.best_of o.tolerance;
   (* Measure the way the baselines were recorded: one cold pass over
      the selection with the in-run memo shared across experiments
      (F8/F9 share a grid — clearing between experiments would time F9
@@ -632,7 +595,9 @@ let run_check_perf (o : options) exps =
   in
   List.iter (fun v -> Format.printf "%a@." Perfgate.pp_verdict v) verdicts;
   let meta =
-    Meta.to_json ~jobs:1 ~exec_mode:(mode_name o.exec_mode) ~cache:"cold"
+    Meta.to_json ~jobs:1
+      ~exec_mode:(Machine.string_of_mode o.exec_mode)
+      ~cache:"cold"
       ~extra:
         [ ("size", Jsonw.Str size_str); ("best_of", Jsonw.Int o.best_of) ]
       ()
@@ -666,7 +631,8 @@ let dump_telemetry (o : options) dir sink =
       output_char oc '\n');
   Out_channel.with_open_text (Filename.concat dir "RUN_META.json") (fun oc ->
       Jsonw.to_channel oc
-        (Meta.to_json ~jobs:o.jobs ~exec_mode:(mode_name o.exec_mode)
+        (Meta.to_json ~jobs:o.jobs
+           ~exec_mode:(Machine.string_of_mode o.exec_mode)
            ~cache:
              (match o.cache_dir with
              | None -> "memory"
@@ -755,15 +721,7 @@ let () =
   | Some spec ->
       let modes =
         List.map
-          (fun s ->
-            match mode_of_string (String.trim s) with
-            | Some m -> m
-            | None ->
-                Printf.eprintf
-                  "--perf-exec: expected step, block, block-nochain or \
-                   trace, got %S\n"
-                  s;
-                exit 2)
+          (fun s -> parse_mode "--perf-exec" (String.trim s))
           (String.split_on_char ',' spec)
       in
       run_perf_exec o.size modes exps;

@@ -86,11 +86,6 @@ let block_stats_json m =
           ("invalidations", Jsonw.Int s.Sdt_machine.Block.st_invalidations);
           ("chain_hits", Jsonw.Int s.Sdt_machine.Block.st_chain_hits);
           ("chain_severs", Jsonw.Int s.Sdt_machine.Block.st_chain_severs);
-          ("trace_compiles", Jsonw.Int s.Sdt_machine.Block.st_trace_compiles);
-          ("trace_entries", Jsonw.Int s.Sdt_machine.Block.st_trace_entries);
-          ("side_exits", Jsonw.Int s.Sdt_machine.Block.st_side_exits);
-          ("trace_severs", Jsonw.Int s.Sdt_machine.Block.st_trace_severs);
-          ("trace_aborts", Jsonw.Int s.Sdt_machine.Block.st_trace_aborts);
         ]
 
 let load_program file workload size =
@@ -199,16 +194,7 @@ let print_block_stats m =
         "block cache:  %d decodes, %d invalidations, %d chain hits, %d chain \
          severs\n"
         s.Sdt_machine.Block.st_decodes s.Sdt_machine.Block.st_invalidations
-        s.Sdt_machine.Block.st_chain_hits s.Sdt_machine.Block.st_chain_severs;
-      if s.Sdt_machine.Block.st_trace_compiles > 0 then
-        Printf.printf
-          "trace tier:   %d compiles, %d entries, %d side exits, %d severs, \
-           %d SMC aborts\n"
-          s.Sdt_machine.Block.st_trace_compiles
-          s.Sdt_machine.Block.st_trace_entries
-          s.Sdt_machine.Block.st_side_exits
-          s.Sdt_machine.Block.st_trace_severs
-          s.Sdt_machine.Block.st_trace_aborts
+        s.Sdt_machine.Block.st_chain_hits s.Sdt_machine.Block.st_chain_severs
 
 (* --serve "NAME=PROG[xJOBS],...": one tenant per element. PROG is a
    suite workload (sized by --size, or explicitly with @N) or
@@ -434,14 +420,10 @@ let run file workload size_name native arch_name mech ibtc_entries
     exit 2
   end;
   let exec_mode =
-    match exec_mode_name with
-    | "step" -> `Step
-    | "block" -> `Block
-    | "block-nochain" -> `Block_nochain
-    | "trace" -> `Trace
-    | other ->
-        Printf.eprintf
-          "unknown exec mode %S (step, block, block-nochain, trace)\n" other;
+    match Machine.mode_of_string exec_mode_name with
+    | Ok m -> m
+    | Error msg ->
+        prerr_endline msg;
         exit 2
   in
   let size = if size_name = "ref" then `Ref else `Test in
@@ -510,11 +492,7 @@ let run file workload size_name native arch_name mech ibtc_entries
     let m = Loader.load ~timing program in
     if introspect_dir <> None then Machine.set_block_introspect m true;
     traced m;
-    (match exec_mode with
-    | `Step -> Machine.run ~max_steps m
-    | `Block -> Machine.run_blocks ~max_steps m
-    | `Block_nochain -> Machine.run_blocks ~chain:false ~max_steps m
-    | `Trace -> Machine.run_blocks ~trace:true ~max_steps m);
+    Machine.run_mode ~max_steps exec_mode m;
     print_string (Machine.output m);
     Printf.printf "\n--- native on %s ---\n" arch.Arch.name;
     Printf.printf "instructions: %d\n" m.Machine.c.Machine.instructions;
@@ -926,11 +904,11 @@ let sample_interval =
 
 let exec_mode_name =
   Arg.(value & opt string "block" & info [ "exec-mode" ] ~docv:"MODE"
-       ~doc:"Interpreter loop: block (chained, default), block-nochain, trace (hot-trace superblocks) or step. Measured results are bit-identical in every mode.")
+       ~doc:"Interpreter loop: block (chained, default), block-nochain or step. Measured results are bit-identical in every mode.")
 
 let introspect_dir =
   Arg.(value & opt (some string) None & info [ "introspect" ] ~docv:"DIR"
-       ~doc:"After the run, dump the block interpreter's live chain graph (chain.dot, Graphviz; trace-subsumed blocks marked) and a JSON report (introspect.json) with block-length/chain-depth/trace-length/side-exit-rate histograms, per-trace records, per-IB-site inline-cache hit/miss/entropy counters, and (under a sieve) the bucket-chain histogram, into DIR. Needs a block exec mode.")
+       ~doc:"After the run, dump the block interpreter's live chain graph (chain.dot, Graphviz) and a JSON report (introspect.json) with block-length/chain-depth histograms, per-IB-site inline-cache hit/miss/entropy counters, and (under a sieve) the bucket-chain histogram, into DIR. Needs a block exec mode.")
 
 let stats_json =
   Arg.(value & opt (some string) None & info [ "stats-json" ] ~docv:"FILE"

@@ -222,12 +222,12 @@ let ret_violation t env ~site_pc =
   stats.Stats.cfi_violations <- stats.Stats.cfi_violations + 1;
   note t site_pc
 
-(* Host fast paths (block-tier MRU chain links, trace-tier indirect
-   guards) must not link past a landing pad into a fragment body: the
-   pad is the policy's verification point. The guard refuses to cache
-   such an edge — the transfer still happens through the normal trap
-   path, where the pad counts any real violation, so refusals are
-   bookkeeping, not violations. It never fires on benign edges: cached
+(* Host fast paths (block-tier MRU chain links) must not link past a
+   landing pad into a fragment body: the pad is the policy's
+   verification point. The guard refuses to cache such an edge — the
+   transfer still happens through the normal trap path, where the pad
+   counts any real violation, so refusals are bookkeeping, not
+   violations. It never fires on benign edges: cached
    indirect targets are fragment addresses (pad entries), and interior
    labels (sieve/retcache resume points) are never body entries. *)
 let link_guard t _env =

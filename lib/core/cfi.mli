@@ -34,11 +34,11 @@
       [cfi_xcalls]) and audited against the static entry-point set, in
       the spirit of the RiscMachine cross-component jump monitor.
     - {b Host-tier re-validation}: the block interpreter's MRU indirect
-      chain links and the trace tier's indirect guards consult
-      {!link_guard} before caching an edge, so no host fast path can
-      silently link {e past} a landing pad into a fragment body.
+      chain links consult {!link_guard} before caching an edge, so no
+      host fast path can silently link {e past} a landing pad into a
+      fragment body.
 
-    All charges are deterministic, so the four execution modes stay
+    All charges are deterministic, so the three execution modes stay
     bit-exact with a policy enabled. With the policy off none of this
     exists: no pads, no charges, byte-identical fragments. *)
 
@@ -65,8 +65,8 @@ val on_flush : t -> unit
     violation history survive, like the adaptive mechanism's census. *)
 
 val link_guard : t -> Env.t -> (int -> bool) option
-(** The host-side predicate the block/trace tiers consult before caching
-    an indirect chain link or compiling a trace indirect guard: [false]
+(** The host-side predicate the block interpreter consults before
+    caching an indirect chain link: [false]
     (refuse to cache, count a violation) iff the target enters a
     fragment past its landing pad. [None] for pad-free policies. *)
 

@@ -339,17 +339,10 @@ let start t =
      with Translate.Unsupported msg -> error "unsupported application: %s" msg);
     t.started <- true)
 
-let step_machine ?max_steps ~mode m =
-  match mode with
-  | `Step -> Machine.run ?max_steps m
-  | `Block -> Machine.run_blocks ?max_steps m
-  | `Block_nochain -> Machine.run_blocks ?max_steps ~chain:false m
-  | `Trace -> Machine.run_blocks ?max_steps ~trace:true m
-
 let run ?max_steps ?(mode = `Block) t =
   let go () =
     start t;
-    try step_machine ?max_steps ~mode t.env.Env.machine
+    try Machine.run_mode ?max_steps mode t.env.Env.machine
     with Translate.Unsupported msg -> error "unsupported application: %s" msg
   in
   match t.env.Env.obs with
@@ -360,7 +353,7 @@ let advance ?max_steps ?(mode = `Block) t =
   start t;
   let m = t.env.Env.machine in
   let before = m.Machine.c.Machine.instructions in
-  (try step_machine ?max_steps ~mode m with
+  (try Machine.run_mode ?max_steps mode m with
   | Machine.Error _
     when Machine.exit_code m = None
          && m.Machine.c.Machine.instructions > before ->

@@ -42,7 +42,7 @@ val create :
 
 val run :
   ?max_steps:int ->
-  ?mode:[ `Step | `Block | `Block_nochain | `Trace ] ->
+  ?mode:Machine.mode ->
   t ->
   unit
 (** Translate the entry block and run to exit. [mode] picks the
@@ -50,10 +50,8 @@ val run :
     compiled basic-block cache with direct block chaining
     ({!Machine.run_blocks}), [`Block_nochain] the same without chain
     links (every transition re-probes the cache — the differential
-    mode), [`Trace] the block cache plus the hot-trace superblock tier
-    (hot predicted paths spliced into single closure chains with biased
-    side-exit stubs), [`Step] the classic per-instruction loop — all
-    four produce bit-identical measured results; block and trace modes
+    mode), [`Step] the classic per-instruction loop ({!Machine.mode}) —
+    all three produce bit-identical measured results; the block modes
     are simply faster host-side.
     @raise Machine.Error on step-limit overrun;
     @raise Error on translator failures (unsupported application code,
@@ -68,7 +66,7 @@ val start : t -> unit
 
 val advance :
   ?max_steps:int ->
-  ?mode:[ `Step | `Block | `Block_nochain | `Trace ] ->
+  ?mode:Machine.mode ->
   t ->
   [ `Exited of int | `Running ]
 (** Resumable slice of {!run}: execute at most [max_steps] further

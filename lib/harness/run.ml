@@ -47,24 +47,23 @@ let max_steps = ref 2_000_000_000
    (bench --perf-exec) and differential testing, [`Step] remains the
    reference loop. SDT_EXEC_MODE overrides the default from the
    environment so the whole test suite can be re-run under another
-   mode without touching callers (the CI matrix does). *)
-let exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] ref =
+   mode without touching callers (the CI matrix does). An unknown value
+   fails loudly: silently running the default would pass a leg that
+   claims to test another mode. This runs at module init, before any
+   main can catch, so report cleanly and exit 2 (as SDT_CFI does). *)
+let exec_mode : Machine.mode ref =
   ref
     (match Sys.getenv_opt "SDT_EXEC_MODE" with
-    | Some "step" -> `Step
-    | Some "block-nochain" -> `Block_nochain
-    | Some "trace" -> `Trace
-    | Some _ | None -> `Block)
+    | None -> `Block
+    | Some s -> (
+        match Machine.mode_of_string s with
+        | Ok m -> m
+        | Error msg ->
+            prerr_endline ("SDT_EXEC_MODE: " ^ msg);
+            exit 2))
 
 let set_exec_mode m = exec_mode := m
 let get_exec_mode () = !exec_mode
-
-let run_machine ~max_steps m =
-  match !exec_mode with
-  | `Step -> Machine.run ~max_steps m
-  | `Block -> Machine.run_blocks ~max_steps m
-  | `Block_nochain -> Machine.run_blocks ~chain:false ~max_steps m
-  | `Trace -> Machine.run_blocks ~trace:true ~max_steps m
 
 (* Block-cache statistics accumulated across every simulated machine
    (memoized cells add nothing, as with {!sim_instrs}), native and SDT
@@ -73,20 +72,12 @@ let bc_decodes = Atomic.make 0
 let bc_invalidations = Atomic.make 0
 let bc_chain_hits = Atomic.make 0
 let bc_chain_severs = Atomic.make 0
-let bc_trace_compiles = Atomic.make 0
-let bc_trace_entries = Atomic.make 0
-let bc_side_exits = Atomic.make 0
-let bc_trace_severs = Atomic.make 0
 
 type block_cache_stats = {
   decodes : int;
   invalidations : int;
   chain_hits : int;
   chain_severs : int;
-  trace_compiles : int;
-  trace_entries : int;
-  side_exits : int;
-  trace_severs : int;
 }
 
 let note_block_stats m =
@@ -101,18 +92,7 @@ let note_block_stats m =
         (Atomic.fetch_and_add bc_chain_hits s.Sdt_machine.Block.st_chain_hits);
       ignore
         (Atomic.fetch_and_add bc_chain_severs
-           s.Sdt_machine.Block.st_chain_severs);
-      ignore
-        (Atomic.fetch_and_add bc_trace_compiles
-           s.Sdt_machine.Block.st_trace_compiles);
-      ignore
-        (Atomic.fetch_and_add bc_trace_entries
-           s.Sdt_machine.Block.st_trace_entries);
-      ignore
-        (Atomic.fetch_and_add bc_side_exits s.Sdt_machine.Block.st_side_exits);
-      ignore
-        (Atomic.fetch_and_add bc_trace_severs
-           s.Sdt_machine.Block.st_trace_severs)
+           s.Sdt_machine.Block.st_chain_severs)
 
 let block_cache_stats () =
   {
@@ -120,10 +100,6 @@ let block_cache_stats () =
     invalidations = Atomic.get bc_invalidations;
     chain_hits = Atomic.get bc_chain_hits;
     chain_severs = Atomic.get bc_chain_severs;
-    trace_compiles = Atomic.get bc_trace_compiles;
-    trace_entries = Atomic.get bc_trace_entries;
-    side_exits = Atomic.get bc_side_exits;
-    trace_severs = Atomic.get bc_trace_severs;
   }
 
 (* Adaptive-mechanism transition activity, accumulated the same way as
@@ -551,7 +527,7 @@ let native ~arch ~key build =
       cell_span "native" ~key fp @@ fun () ->
       let timing = Timing.create arch in
       let m = Loader.load ~timing (build ()) in
-      run_machine ~max_steps:!max_steps m;
+      Machine.run_mode ~max_steps:!max_steps !exec_mode m;
       ignore (Atomic.fetch_and_add sim_instrs m.Machine.c.Machine.instructions);
       note_block_stats m;
       let c = m.Machine.c in
@@ -610,15 +586,10 @@ let sdt ~arch ~cfg ~key build =
    guest checksums are mode-invariant. The pool is deliberately NOT
    threaded into [Serve.run] here: the harness parallelises across
    serve specs on the pool, and {!Sdt_par.Pool} is not reentrant. *)
-let mode_tag () =
-  match !exec_mode with
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Block_nochain -> "block-nochain"
-  | `Trace -> "trace"
-
 let serve spec =
-  let fp = Serve.fingerprint spec ^ "|mode=" ^ mode_tag () in
+  let fp =
+    Serve.fingerprint spec ^ "|mode=" ^ Machine.string_of_mode !exec_mode
+  in
   Memo.find serve_memo fp (fun () ->
       cell_span "serve" ~key:(Serve.describe spec) fp @@ fun () ->
       let res = Serve.run ~mode:!exec_mode spec in

@@ -89,20 +89,21 @@ val cache_stats : unit -> cache_stats
 val max_steps : int ref
 (** Step budget per run (default 2 * 10^9). *)
 
-val set_exec_mode : [ `Step | `Block | `Block_nochain | `Trace ] -> unit
+val set_exec_mode : Sdt_machine.Machine.mode -> unit
 (** Interpreter loop used for simulated cells: [`Block] (default)
     executes through the compiled basic-block cache with direct block
     chaining, [`Block_nochain] the same without chain links (every
-    transition re-probes the cache), [`Trace] the block cache plus the
-    hot-trace superblock tier, [`Step] the classic per-instruction
-    loop. All four produce bit-identical measured results; the switch
-    exists for A/B host-time comparison ([bench --perf-exec]) and
-    differential testing. The default can also be overridden with the
-    [SDT_EXEC_MODE] environment variable
-    ([step] | [block] | [block-nochain] | [trace]), which the CI matrix
-    uses to re-run the whole suite per mode. *)
+    transition re-probes the cache), [`Step] the classic
+    per-instruction loop. All three produce bit-identical measured
+    results; the switch exists for A/B host-time comparison
+    ([bench --perf-exec]) and differential testing. The default can
+    also be overridden with the [SDT_EXEC_MODE] environment variable
+    ([step] | [block] | [block-nochain], parsed by
+    {!Sdt_machine.Machine.mode_of_string}), which the CI matrix uses to
+    re-run the whole suite per mode; any other value exits 2 at
+    startup with the list of valid modes. *)
 
-val get_exec_mode : unit -> [ `Step | `Block | `Block_nochain | `Trace ]
+val get_exec_mode : unit -> Sdt_machine.Machine.mode
 (** The interpreter loop simulated cells currently use, so a caller
     that pins one with {!set_exec_mode} can restore it. *)
 
@@ -116,10 +117,6 @@ type block_cache_stats = {
   invalidations : int;  (** recompilations forced by a generation bump *)
   chain_hits : int;  (** transitions served by a valid chain link *)
   chain_severs : int;  (** links found stale and dropped *)
-  trace_compiles : int;  (** superblocks formed *)
-  trace_entries : int;  (** dispatches that entered a valid trace *)
-  side_exits : int;  (** trace guard divergences *)
-  trace_severs : int;  (** traces dropped by a generation bump *)
 }
 
 type adapt_stats = {
@@ -149,8 +146,7 @@ val block_cache_stats : unit -> block_cache_stats
 (** Block-cache activity summed over every actually-simulated machine
     (native and SDT; memoized cells add nothing) since process start,
     accumulated atomically across pool domains. All zero under
-    [`Step]; the trace-tier counters are nonzero only under
-    [`Trace]. *)
+    [`Step]. *)
 
 type serve_stats = {
   jobs_served : int;  (** guest jobs completed by service runs *)

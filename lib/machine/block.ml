@@ -58,13 +58,6 @@ type t = {
      backed out is [static_cycles - cyc_prefix.(k)]. [||] for untimed
      machines. *)
   mutable cyc_prefix : int array;
-  (* trace-mode dispatch count for this block as a potential trace
-     head; reset when a trace forms, is severed, or formation fails,
-     so formation is retried every [hot_threshold] entries *)
-  mutable heat : int;
-  (* the superblock rooted here, if one has been formed and not yet
-     severed; only consulted by the trace-mode executor *)
-  mutable trace : trace option;
 }
 
 and term =
@@ -89,11 +82,6 @@ and cond_link = {
   c_fall : int;
   mutable c_tlink : t option;
   mutable c_flink : t option;
-  (* per-direction heat, maintained only by the trace-mode dispatcher:
-     the observed-bias signal that decides whether a conditional may be
-     specialized into a trace (hot side inlined, cold side a stub) *)
-  mutable c_theat : int;
-  mutable c_fheat : int;
 }
 
 and ind_link = {
@@ -117,52 +105,6 @@ and isite = {
   is_targets : (int, int) Hashtbl.t; (* target PC -> times taken *)
 }
 
-(* A superblock: a hot predicted path of [2 .. max_trace_blocks] chained
-   blocks spliced into one threaded closure chain ([tr_body]). Each
-   internal terminator is compiled as a *guard*: the terminator's exec
-   closure runs (same effects, same order as block mode), and if the
-   outcome matches the direction observed at formation time control
-   falls through to the next segment's body — otherwise the guard
-   records a side exit in the cache's rendezvous fields and the chain
-   stops. Static cycles of the whole path are charged once per trace
-   entry ([tr_static]); both side exits and mid-trace SMC aborts back
-   the over-charge out through the prefix sums, so cycle totals stay
-   bit-exact (they are order-independent sums).
-
-   A trace captures its constituent blocks' [body]/terminator closures
-   at formation time and is valid exactly while [tr_gen] equals the
-   current generation: any store into decoded code bumps the generation
-   and thereby severs the trace before it can run again, mirroring
-   chain severing. Constituents may later be evicted from the table
-   (ghost blocks) — like chain links this is safe because [start] is
-   immutable and the generation compare subsumes the table probe. *)
-and trace = {
-  tr_gen : int; (* generation every constituent was compiled under *)
-  tr_blocks : t array;
-  tr_n_instrs : int; (* sum over constituents, incl. real terminators *)
-  tr_static : int; (* sum of constituent [static_cycles] *)
-  (* tr_instr_prefix.(k) = instructions of blocks [0..k-1]: a side exit
-     after segment [k]'s terminator completed [tr_instr_prefix.(k+1)];
-     an SMC abort in segment [k]'s body completed [tr_instr_prefix.(k)]
-     + the aborting block's own op count. Both arrays have length
-     [Array.length tr_blocks + 1]. *)
-  tr_instr_prefix : int array;
-  tr_cyc_entry : int array; (* prefix sums of [static_cycles] *)
-  tr_body : unit -> unit;
-  tr_stubs : stub array; (* stub of guard [k] (segments 0 .. n-2) *)
-  mutable tr_entries : int;
-  mutable tr_side_exits : int;
-}
-
-(* The cold half of a guarded terminator: on a side exit the executor
-   re-enters the normal block cache through the original link record,
-   so the cold path chains, severs, and counts exactly as it would had
-   the trace never existed. *)
-and stub =
-  | Se_none (* static transition: cannot side-exit *)
-  | Se_cond of cond_link
-  | Se_ind of ind_link
-
 (* Direct-mapped by start PC: a lookup is one array read and two
    compares, which matters because the average block is only a few
    instructions long — a hashtable probe per block transition costs
@@ -183,10 +125,9 @@ type cache = {
   chain : bool;
   introspect : bool;
   cfi_guard : (int -> bool) option;
-      (* consulted before caching an indirect link or forming a trace
-         indirect guard; [false] refuses the cache entry so the
-         transfer keeps re-probing (and keeps hitting the emitted
-         policy checks). Host-side only. *)
+      (* consulted before caching an indirect link; [false] refuses the
+         cache entry so the transfer keeps re-probing (and keeps hitting
+         the emitted policy checks). Host-side only. *)
   isites : (int, isite) Hashtbl.t; (* IB site pc -> counters *)
   tbl : t option array; (* indexed by (start lsr 2) land slot_mask *)
   (* mid-block abort rendezvous: -1 normally; an aborting store closure
@@ -195,27 +136,10 @@ type cache = {
      returns — one test per block instead of a checked return value per
      instruction *)
   mutable abort : int;
-  (* side-exit rendezvous, mirroring [abort]: a trace guard whose
-     outcome diverges from the formation-time prediction writes its
-     guard index here (plus the direction taken for conditionals, or
-     the actual target for indirects) and drops the rest of the chain;
-     the trace executor reads-and-resets it after [tr_body] returns.
-     [texit_blk] is the segment index recorded when a mid-trace SMC
-     abort fires (the [abort] field alone cannot say *which* block's
-     store aborted). *)
-  mutable texit : int; (* -1 = no side exit *)
-  mutable texit_dir : bool; (* conditional guards: direction taken *)
-  mutable texit_pc : int; (* indirect guards: actual target *)
-  mutable texit_blk : int; (* segment index of a mid-trace SMC abort *)
   mutable decodes : int;
   mutable invalidations : int;
   mutable chain_hits : int;
   mutable chain_severs : int;
-  mutable trace_compiles : int;
-  mutable trace_entries : int;
-  mutable side_exits : int;
-  mutable trace_severs : int;
-  mutable trace_aborts : int;
 }
 
 type stats = {
@@ -223,11 +147,6 @@ type stats = {
   st_invalidations : int;
   st_chain_hits : int;
   st_chain_severs : int;
-  st_trace_compiles : int;
-  st_trace_entries : int;
-  st_side_exits : int;
-  st_trace_severs : int;
-  st_trace_aborts : int;
 }
 
 (* Long enough that typical blocks (a handful of instructions up to a
@@ -249,19 +168,10 @@ let create ~regs ~counters ?timing ?(chain = true) ?(introspect = false)
     isites = Hashtbl.create (if introspect then 64 else 1);
     tbl = Array.make slots None;
     abort = -1;
-    texit = -1;
-    texit_dir = false;
-    texit_pc = 0;
-    texit_blk = 0;
     decodes = 0;
     invalidations = 0;
     chain_hits = 0;
     chain_severs = 0;
-    trace_compiles = 0;
-    trace_entries = 0;
-    side_exits = 0;
-    trace_severs = 0;
-    trace_aborts = 0;
   }
 
 let decodes c = c.decodes
@@ -301,11 +211,6 @@ let stats c =
     st_invalidations = c.invalidations;
     st_chain_hits = c.chain_hits;
     st_chain_severs = c.chain_severs;
-    st_trace_compiles = c.trace_compiles;
-    st_trace_entries = c.trace_entries;
-    st_side_exits = c.side_exits;
-    st_trace_severs = c.trace_severs;
-    st_trace_aborts = c.trace_aborts;
   }
 
 (* Anything that can redirect the PC, change machine status, or run a
@@ -766,8 +671,6 @@ let compile_term cache ~pc ~nf i =
         c_fall = next;
         c_tlink = None;
         c_flink = None;
-        c_theat = 0;
-        c_fheat = 0;
       }
   in
   let indirect exec =
@@ -974,8 +877,6 @@ let fresh cache start =
       term;
       static_cycles;
       cyc_prefix;
-      heat = 0;
-      trace = None;
     }
   in
   b
@@ -983,18 +884,10 @@ let fresh cache start =
 (* Recompile a stale block in place. The record identity survives so
    that links held by predecessors come back to life once the new
    compilation's generation matches again — but [term] is replaced, so
-   the stale block's own outgoing links are dropped with it, and so is
-   any trace rooted here (its captured closures belong to the dead
-   compilation). *)
+   the stale block's own outgoing links are dropped with it. *)
 let refresh cache b =
   cache.invalidations <- cache.invalidations + 1;
   cache.decodes <- cache.decodes + 1;
-  (match b.trace with
-  | Some _ ->
-      cache.trace_severs <- cache.trace_severs + 1;
-      b.trace <- None
-  | None -> ());
-  b.heat <- 0;
   let body, term, gen, n, static_cycles, cyc_prefix = compile cache b.start in
   b.body <- body;
   b.term <- term;
@@ -1117,256 +1010,3 @@ let follow_indirect cache (ind : ind_link) target =
     end;
     b
   end
-
-(* ------------------------------------------------------------------ *)
-(* Trace formation. A block that keeps being dispatched in trace mode
-   accumulates [heat]; at [hot_threshold] the cache tries to splice the
-   predicted path out of it into a superblock. Prediction uses ONLY
-   state the chained mode has already built — existing generation-
-   current links, per-direction conditional heat, the monomorphic state
-   of the indirect MRU — and never probes or decodes: a speculative
-   [find] could fault on a PC execution never reaches and would inflate
-   decode counters, whereas restricting formation to taken transitions
-   keeps every trace a replay of paths that really ran. *)
-
-(* Per-block dispatches of a trace head before formation is attempted
-   (and between retries after a failed attempt or a sever). *)
-let hot_threshold = 32
-
-(* A conditional may be specialized only once both directions together
-   have been observed at least this many times ... *)
-let bias_min = 16
-
-(* ... and the hot side carries >= 7/8 of them. *)
-let[@inline] biased hot total = hot * 8 >= total * 7
-
-let max_trace_blocks = 16
-
-(* The transition out of a non-final segment, as predicted at formation
-   time: what the guard closure must check, and which stub the executor
-   rejoins through on a divergence. *)
-type pred_kind =
-  | P_static of static_link
-  | P_cond of cond_link * bool (* expected [taken] *)
-  | P_ind of ind_link * int (* predicted target *)
-
-let form_trace cache (head : t) =
-  let g = !(cache.gen) in
-  if head.gen <> g then false
-  else begin
-    (* Walk the predicted path, stopping at the first unpredictable or
-       already-seen block (a cycle back to the head closes a loop trace
-       naturally: the final terminator re-dispatches the head, which
-       re-enters the trace). *)
-    let seen = Hashtbl.create 8 in
-    Hashtbl.add seen head.start ();
-    let rev_blocks = ref [ head ] in
-    let rev_kinds = ref [] in
-    let nb = ref 1 in
-    let cur = ref head in
-    let stop = ref false in
-    while (not !stop) && !nb < max_trace_blocks do
-      let ext =
-        match (!cur).term with
-        | T_stop _ -> None
-        | T_static s -> (
-            match s.s_link with
-            | Some b when b.gen = g -> Some (b, P_static s)
-            | _ -> None)
-        | T_cond cd ->
-            let th = cd.c_theat and fh = cd.c_fheat in
-            let total = th + fh in
-            if total < bias_min then None
-            else if biased th total then
-              match cd.c_tlink with
-              | Some b when b.gen = g -> Some (b, P_cond (cd, true))
-              | _ -> None
-            else if biased fh total then
-              match cd.c_flink with
-              | Some b when b.gen = g -> Some (b, P_cond (cd, false))
-              | _ -> None
-            else None
-        | T_indirect ind ->
-            (* monomorphic so far: one target ever observed — and, under
-               a CFI link guard, re-validated before the predicted edge
-               is compiled into a trace guard *)
-            if
-              ind.i_pc0 >= 0
-              && ind.i_pc1 < 0
-              && cacheable cache ind.i_pc0
-            then
-              match ind.i_l0 with
-              | Some b when b.gen = g -> Some (b, P_ind (ind, ind.i_pc0))
-              | _ -> None
-            else None
-      in
-      match ext with
-      | Some (b, k) when not (Hashtbl.mem seen b.start) ->
-          Hashtbl.add seen b.start ();
-          rev_blocks := b :: !rev_blocks;
-          rev_kinds := k :: !rev_kinds;
-          incr nb;
-          cur := b
-      | _ -> stop := true
-    done;
-    if !nb < 2 then false
-    else begin
-      let blocks = Array.of_list (List.rev !rev_blocks) in
-      let kinds = Array.of_list (List.rev !rev_kinds) in
-      let n = Array.length blocks in
-      let ip = Array.make (n + 1) 0 in
-      let cp = Array.make (n + 1) 0 in
-      for k = 0 to n - 1 do
-        ip.(k + 1) <- ip.(k) + blocks.(k).n_instrs;
-        cp.(k + 1) <- cp.(k) + blocks.(k).static_cycles
-      done;
-      let stubs =
-        Array.map
-          (function
-            | P_static _ -> Se_none
-            | P_cond (cd, _) -> Se_cond cd
-            | P_ind (ind, _) -> Se_ind ind)
-          kinds
-      in
-      (* Thread the segments back-to-front, like a block body. The last
-         segment runs only its body: its terminator stays unguarded and
-         is dispatched by the executor exactly as block mode would.
-         Every segment checks the abort rendezvous once after its body
-         (a store into decoded code mid-trace must not run the rest of
-         the path), recording WHICH segment aborted so the executor can
-         back out against the right prefix. *)
-      let last = n - 1 in
-      let last_body = blocks.(last).body in
-      let chain =
-        ref (fun () ->
-            last_body ();
-            if cache.abort >= 0 then begin
-              cache.texit_blk <- last;
-              cache.trace_aborts <- cache.trace_aborts + 1
-            end)
-      in
-      for k = n - 2 downto 0 do
-        let body = blocks.(k).body in
-        let next = !chain in
-        let guard =
-          match kinds.(k) with
-          | P_static s ->
-              let ex = s.s_exec in
-              fun () ->
-                ex ();
-                next ()
-          | P_cond (cd, exp) ->
-              let ex = cd.c_exec in
-              fun () ->
-                let taken = ex () in
-                if taken = exp then next ()
-                else begin
-                  cache.texit <- k;
-                  cache.texit_dir <- taken
-                end
-          | P_ind (ind, pred) -> (
-              let ex = ind.i_exec in
-              match ind.i_site with
-              | None ->
-                  fun () ->
-                    let target = ex () in
-                    if target = pred then next ()
-                    else begin
-                      cache.texit <- k;
-                      cache.texit_pc <- target
-                    end
-              | Some s ->
-                  (* guard pass = inline-cache hit: record it the way
-                     [follow_indirect]'s hit path would (the miss path
-                     reaches [follow_indirect] itself via the stub) *)
-                  fun () ->
-                    let target = ex () in
-                    if target = pred then begin
-                      s.is_hits <- s.is_hits + 1;
-                      Hashtbl.replace s.is_targets target
-                        (1
-                        + Option.value ~default:0
-                            (Hashtbl.find_opt s.is_targets target));
-                      next ()
-                    end
-                    else begin
-                      cache.texit <- k;
-                      cache.texit_pc <- target
-                    end)
-        in
-        chain :=
-          fun () ->
-            body ();
-            if cache.abort >= 0 then begin
-              cache.texit_blk <- k;
-              cache.trace_aborts <- cache.trace_aborts + 1
-            end
-            else guard ()
-      done;
-      head.trace <-
-        Some
-          {
-            tr_gen = g;
-            tr_blocks = blocks;
-            tr_n_instrs = ip.(n);
-            tr_static = cp.(n);
-            tr_instr_prefix = ip;
-            tr_cyc_entry = cp;
-            tr_body = !chain;
-            tr_stubs = stubs;
-            tr_entries = 0;
-            tr_side_exits = 0;
-          };
-      cache.trace_compiles <- cache.trace_compiles + 1;
-      true
-    end
-  end
-
-(* Trace dispatch: called by the trace-mode executor on every block it
-   is about to run. Returns the valid trace rooted at [blk] (counting
-   the entry), after severing a stale one or attempting formation when
-   the block has gone hot. *)
-let hot_trace cache blk =
-  match blk.trace with
-  | Some tr when tr.tr_gen = !(cache.gen) ->
-      tr.tr_entries <- tr.tr_entries + 1;
-      cache.trace_entries <- cache.trace_entries + 1;
-      blk.trace
-  | Some _ ->
-      cache.trace_severs <- cache.trace_severs + 1;
-      blk.trace <- None;
-      blk.heat <- 0;
-      None
-  | None ->
-      blk.heat <- blk.heat + 1;
-      if blk.heat < hot_threshold then None
-      else begin
-        blk.heat <- 0;
-        if form_trace cache blk then begin
-          (match blk.trace with
-          | Some tr ->
-              tr.tr_entries <- tr.tr_entries + 1;
-              cache.trace_entries <- cache.trace_entries + 1
-          | None -> ());
-          blk.trace
-        end
-        else None
-      end
-
-let[@inline] trace_exit c = c.texit
-let[@inline] trace_exit_dir c = c.texit_dir
-let[@inline] trace_exit_pc c = c.texit_pc
-let[@inline] trace_abort_block c = c.texit_blk
-let[@inline] clear_trace_exit c = c.texit <- -1
-
-let note_side_exit c tr =
-  c.side_exits <- c.side_exits + 1;
-  tr.tr_side_exits <- tr.tr_side_exits + 1
-
-let traces c =
-  Array.fold_right
-    (fun slot acc ->
-      match slot with
-      | Some ({ trace = Some tr; _ } as b) -> (b, tr) :: acc
-      | _ -> acc)
-    c.tbl []

@@ -57,12 +57,6 @@ type t = {
       (** [cyc_prefix.(k)] = static cycles of the first [k] body ops: a
           mid-block store abort that executed [k] ops backs out the
           over-charge [static_cycles - cyc_prefix.(k)] *)
-  mutable heat : int;
-      (** trace-mode dispatches since the last formation attempt (or
-          sever) with this block as a potential trace head *)
-  mutable trace : trace option;
-      (** the superblock rooted here, if formed and not yet severed;
-          consulted only by the trace-mode executor ({!hot_trace}) *)
 }
 
 and term =
@@ -87,10 +81,6 @@ and cond_link = {
   c_fall : int;
   mutable c_tlink : t option;
   mutable c_flink : t option;
-  mutable c_theat : int;
-      (** taken-direction executions, counted only by the trace-mode
-          dispatcher: the bias signal deciding specialization *)
-  mutable c_fheat : int;  (** fall-through-direction executions *)
 }
 
 and ind_link = {
@@ -110,40 +100,6 @@ and isite = {
   mutable is_misses : int;
   is_targets : (int, int) Hashtbl.t;  (** target PC -> times taken *)
 }
-
-(** A superblock: a hot predicted path of chained blocks spliced into
-    one threaded closure chain. Internal terminators become {e guards}
-    (same effects, same order as block mode) that side-exit through
-    {!stub}s when the outcome diverges from the formation-time
-    prediction; the whole path's static cycles are charged once per
-    entry with prefix-sum backout at side exits and mid-trace SMC
-    aborts. Valid exactly while [tr_gen] equals the current code
-    generation — any store into decoded code severs the trace, like a
-    chain link. *)
-and trace = {
-  tr_gen : int;
-  tr_blocks : t array;  (** constituents, head first *)
-  tr_n_instrs : int;  (** total instructions a full run executes *)
-  tr_static : int;  (** total static cycles, charged once per entry *)
-  tr_instr_prefix : int array;
-      (** [tr_instr_prefix.(k)] = instructions of segments [0..k-1];
-          length [Array.length tr_blocks + 1] *)
-  tr_cyc_entry : int array;  (** same prefix sums for static cycles *)
-  tr_body : unit -> unit;
-  tr_stubs : stub array;
-      (** [tr_stubs.(k)] rejoins the block cache after a side exit at
-          guard [k] (the terminator of segment [k], [k <= n-2]) *)
-  mutable tr_entries : int;
-  mutable tr_side_exits : int;
-}
-
-(** The cold half of a guarded terminator: a side exit re-enters the
-    normal block cache through the original link record, so the cold
-    path chains, severs, and counts as if the trace never existed. *)
-and stub =
-  | Se_none  (** static transition: cannot side-exit *)
-  | Se_cond of cond_link
-  | Se_ind of ind_link
 
 type cache
 
@@ -171,10 +127,9 @@ val create :
     counted — host-side only (simulated results are bit-identical),
     with the disabled-mode cost of one null test per indirect
     transition. [cfi_guard], when given, is consulted before an
-    indirect MRU link is cached or a trace indirect guard is compiled:
-    [false] refuses the cache entry, so the transfer keeps re-probing
-    (and keeps passing through the emitted CFI policy checks) — also
-    host-side only. *)
+    indirect MRU link is cached: [false] refuses the cache entry, so
+    the transfer keeps re-probing (and keeps passing through the
+    emitted CFI policy checks) — also host-side only. *)
 
 val chained : cache -> bool
 val introspected : cache -> bool
@@ -208,49 +163,6 @@ val follow_indirect : cache -> ind_link -> int -> t
 (** Successor of an indirect transfer through the 2-entry inline cache,
     keyed on the target PC with MRU promotion. *)
 
-(** {1 Traces} — used only by the trace-mode executor *)
-
-val hot_threshold : int
-(** Dispatches of a block (as potential head) before trace formation is
-    attempted, and between retries after a failure or sever. *)
-
-val max_trace_blocks : int
-(** Upper bound on constituent blocks per trace. *)
-
-val hot_trace : cache -> t -> trace option
-(** The valid trace rooted at a block the executor is about to run,
-    counting the trace entry — or [None] after bumping the block's
-    heat, severing a stale trace, or failing to form one. Formation
-    walks only existing generation-current chain links (conditionals
-    need [bias_min] observations with a >= 7/8 direction bias, indirect
-    terminators a monomorphic inline cache); it never probes or
-    decodes, so traces replay only transitions chained mode took. *)
-
-val trace_exit : cache -> int
-(** [-1] if the last [tr_body] run completed (or aborted); otherwise
-    the guard index whose outcome diverged. The executor must
-    {!clear_trace_exit} after handling it, and back out instructions
-    and cycles against [tr_instr_prefix]/[tr_cyc_entry]. *)
-
-val trace_exit_dir : cache -> bool
-(** Direction actually taken when the exiting guard was conditional. *)
-
-val trace_exit_pc : cache -> int
-(** Target actually produced when the exiting guard was indirect. *)
-
-val trace_abort_block : cache -> int
-(** Segment index whose body hit a mid-trace SMC abort (meaningful when
-    {!aborted_ops} is [>= 0] after a [tr_body] run). *)
-
-val clear_trace_exit : cache -> unit
-
-val note_side_exit : cache -> trace -> unit
-(** Count one side exit (cache-wide and on the trace). *)
-
-val traces : cache -> (t * trace) list
-(** Every table-resident block carrying a trace (valid or stale), in
-    slot order, with that trace. *)
-
 (** {1 Statistics} *)
 
 val decodes : cache -> int
@@ -265,12 +177,6 @@ type stats = {
   st_chain_hits : int;  (** transitions served by a valid chain link *)
   st_chain_severs : int;
       (** links found stale (generation bumped) and dropped *)
-  st_trace_compiles : int;  (** superblocks formed *)
-  st_trace_entries : int;  (** dispatches that entered a valid trace *)
-  st_side_exits : int;  (** guard divergences (not SMC aborts) *)
-  st_trace_severs : int;
-      (** traces dropped because the code generation moved on *)
-  st_trace_aborts : int;  (** mid-trace SMC aborts *)
 }
 
 val stats : cache -> stats

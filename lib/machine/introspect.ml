@@ -46,41 +46,6 @@ let chain_depth_histo cache =
   List.iter (fun (_, d) -> Histo.observe h d) (chain_depths cache);
   h
 
-let trace_length_histo cache =
-  let h = Histo.create ~bounds:[ 1; 2; 4; 8; 16 ] "trace_length" in
-  List.iter
-    (fun (_, (tr : Block.trace)) ->
-      Histo.observe h (Array.length tr.Block.tr_blocks))
-    (Block.traces cache);
-  h
-
-(* Per-trace side-exit rate in percent of entries: 0 means every entry
-   ran the superblock to completion, 100 means every entry bailed
-   through a guard. *)
-let side_exit_rate_histo cache =
-  let h =
-    Histo.create ~bounds:[ 0; 1; 2; 5; 10; 25; 50; 100 ] "side_exit_rate_pct"
-  in
-  List.iter
-    (fun (_, (tr : Block.trace)) ->
-      if tr.Block.tr_entries > 0 then
-        Histo.observe h (100 * tr.Block.tr_side_exits / tr.Block.tr_entries))
-    (Block.traces cache);
-  h
-
-(* Start PCs of every block subsumed by a live trace (members beyond
-   the head no longer dispatch on the hot path — the superblock runs
-   them inline). *)
-let trace_members cache =
-  let members = Hashtbl.create 64 in
-  List.iter
-    (fun (_, (tr : Block.trace)) ->
-      Array.iter
-        (fun (b : Block.t) -> Hashtbl.replace members b.Block.start ())
-        tr.Block.tr_blocks)
-    (Block.traces cache);
-  members
-
 let hex pc = Printf.sprintf "0x%x" pc
 
 (* What the translator layer knows about an IB site's handling, passed
@@ -120,11 +85,6 @@ let chain_dot ?(site_mech = fun _ -> None) ?cfi cache =
   List.iter
     (fun (b : Block.t) -> Hashtbl.replace is_resident b.Block.start ())
     resident;
-  let members = trace_members cache in
-  let heads = Hashtbl.create 16 in
-  List.iter
-    (fun ((b : Block.t), _) -> Hashtbl.replace heads b.Block.start ())
-    (Block.traces cache);
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph chains {\n";
   Buffer.add_string buf "  node [shape=box fontname=\"monospace\"];\n";
@@ -133,13 +93,10 @@ let chain_dot ?(site_mech = fun _ -> None) ?cfi cache =
     (fun (b : Block.t) ->
       let mech = Option.bind (block_site_pc b) site_mech in
       let viols = block_violations cfi b in
-      let trace_mark =
+      let mark =
         (* a block whose fragment recorded policy violations outranks
            every other colouring: it is the thing to look at *)
         if viols > 0 then " style=bold color=red"
-        else if Hashtbl.mem heads b.Block.start then
-          " peripheries=2 style=bold color=blue"
-        else if Hashtbl.mem members b.Block.start then " style=bold color=blue"
         else
           (* a re-patched IB site: its exit transfer has been rewritten
              since emission (adaptive tier change) *)
@@ -160,12 +117,9 @@ let chain_dot ?(site_mech = fun _ -> None) ?cfi cache =
         if viols > 0 then Printf.sprintf "\\n[%d CFI violations]" viols else ""
       in
       Buffer.add_string buf
-        (Printf.sprintf "  \"%s\" [label=\"%s\\n%d instrs%s%s%s\"%s];\n"
-           (hex b.Block.start) (hex b.Block.start) b.Block.n_instrs
-           (if Hashtbl.mem heads b.Block.start then " (trace head)"
-            else if Hashtbl.mem members b.Block.start then " (in trace)"
-            else "")
-           mech_label cfi_label trace_mark);
+        (Printf.sprintf "  \"%s\" [label=\"%s\\n%d instrs%s%s\"%s];\n"
+           (hex b.Block.start) (hex b.Block.start) b.Block.n_instrs mech_label
+           cfi_label mark);
       List.iter
         (fun (kind, (s : Block.t)) ->
           if not (Hashtbl.mem is_resident s.Block.start) then
@@ -258,15 +212,12 @@ let to_json ?site_mech ?cfi cache =
     (fun ((b : Block.t), d) -> Hashtbl.replace depth_of b.Block.start d)
     depths;
   let gen = Block.generation cache in
-  let traces = Block.traces cache in
-  let members = trace_members cache in
   let block_json (b : Block.t) =
     Jsonw.Obj
       [
         ("start", Jsonw.Str (hex b.Block.start));
         ("instrs", Jsonw.Int b.Block.n_instrs);
         ("gen", Jsonw.Int b.Block.gen);
-        ("in_trace", Jsonw.Bool (Hashtbl.mem members b.Block.start));
         ( "term",
           Jsonw.Str
             (match b.Block.term with
@@ -306,37 +257,10 @@ let to_json ?site_mech ?cfi cache =
             ("invalidations", Jsonw.Int st.Block.st_invalidations);
             ("chain_hits", Jsonw.Int st.Block.st_chain_hits);
             ("chain_severs", Jsonw.Int st.Block.st_chain_severs);
-            ("trace_compiles", Jsonw.Int st.Block.st_trace_compiles);
-            ("trace_entries", Jsonw.Int st.Block.st_trace_entries);
-            ("side_exits", Jsonw.Int st.Block.st_side_exits);
-            ("trace_severs", Jsonw.Int st.Block.st_trace_severs);
-            ("trace_aborts", Jsonw.Int st.Block.st_trace_aborts);
           ] );
       ("resident_blocks", Jsonw.Int (List.length depths));
       ("block_length", histo_json (block_length_histo cache));
       ("chain_depth", histo_json (chain_depth_histo cache));
-      ("trace_length", histo_json (trace_length_histo cache));
-      ("side_exit_rate", histo_json (side_exit_rate_histo cache));
-      ( "traces",
-        Jsonw.List
-          (List.map
-             (fun ((head : Block.t), (tr : Block.trace)) ->
-               Jsonw.Obj
-                 [
-                   ("head", Jsonw.Str (hex head.Block.start));
-                   ("blocks", Jsonw.Int (Array.length tr.Block.tr_blocks));
-                   ("instrs", Jsonw.Int tr.Block.tr_n_instrs);
-                   ("gen", Jsonw.Int tr.Block.tr_gen);
-                   ("stale", Jsonw.Bool (tr.Block.tr_gen <> gen));
-                   ("entries", Jsonw.Int tr.Block.tr_entries);
-                   ("side_exits", Jsonw.Int tr.Block.tr_side_exits);
-                   ( "members",
-                     Jsonw.List
-                       (Array.to_list tr.Block.tr_blocks
-                       |> List.map (fun (b : Block.t) ->
-                              Jsonw.Str (hex b.Block.start))) );
-                 ])
-             traces) );
       ("blocks", Jsonw.List (List.map block_json (Block.resident cache)));
       ( "ind_sites",
         Jsonw.List

@@ -34,20 +34,6 @@ val block_length_histo : Block.cache -> Histo.t
 
 val chain_depth_histo : Block.cache -> Histo.t
 
-val trace_length_histo : Block.cache -> Histo.t
-(** Lengths, in constituent blocks, of every live superblock
-    ({!Block.traces}); bounds 1..16 ({!Block.max_trace_blocks}). *)
-
-val side_exit_rate_histo : Block.cache -> Histo.t
-(** Per-trace side-exit rate as a percentage of trace entries (0 =
-    every entry completed, 100 = every entry bailed through a guard);
-    traces never entered are skipped. *)
-
-val trace_members : Block.cache -> (int, unit) Hashtbl.t
-(** Start PCs of every block subsumed by a live trace — the
-    superblock runs these inline, so they no longer dispatch on the
-    hot path. *)
-
 type site_mech = {
   sm_mech : string;  (** the mechanism currently handling the site *)
   sm_transitions : (string * int) list;
@@ -82,10 +68,9 @@ val chain_dot :
 (** The chain graph as Graphviz DOT: one box per resident block
     (labelled with start PC and length), one edge per installed link
     (labelled with its kind; stale-generation links dashed). Linked
-    blocks evicted from the table ("ghosts") appear dotted;
-    trace-subsumed blocks are bold blue, trace heads double-bordered.
-    With [site_mech], blocks ending in an introspected IB site carry
-    the site's current mechanism in their label, and sites whose exit
+    blocks evicted from the table ("ghosts") appear dotted. With
+    [site_mech], blocks ending in an introspected IB site carry the
+    site's current mechanism in their label, and sites whose exit
     transfer has been re-patched since emission are bold orange-red.
     With [cfi], blocks whose fragment recorded policy violations are
     bold red with the count in their label, and their indirect (MRU)
@@ -96,12 +81,10 @@ val to_json :
   ?cfi:cfi_view ->
   Block.cache ->
   Jsonw.t
-(** The full dump: cache stats (including the trace tier), generation,
-    per-block records with links, chain depth and trace membership,
-    the shape histograms — block length, chain depth, trace length,
-    side-exit rate — ({!Histo.to_json}, including p50/p90/p99 from
-    {!Histo.percentile}), per-trace records (head, members, entries,
-    side exits, staleness), and per-IB-site counters with entropy.
+(** The full dump: cache stats, generation, per-block records with
+    links and chain depth, the block-length and chain-depth histograms
+    ({!Histo.to_json}, including p50/p90/p99 from {!Histo.percentile}),
+    and per-IB-site counters with entropy.
     With [site_mech], each site row additionally names its current
     mechanism, its transition history, and its re-patch count. With
     [cfi], the dump leads with the active policy and each site row

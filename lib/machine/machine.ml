@@ -62,9 +62,8 @@ let create ?timing ~mem_size () =
 let set_trap_handler t h = t.trap_handler <- h
 
 (* Install (or clear) the CFI link guard the block cache consults before
-   caching an indirect chain link or trace indirect guard. Any live
-   cache was built without it, so drop it; installation happens before
-   the first run in practice. *)
+   caching an indirect chain link. Any live cache was built without it,
+   so drop it; installation happens before the first run in practice. *)
 let set_cfi_guard t g =
   t.cfi_guard <- g;
   t.bcache <- None
@@ -398,10 +397,7 @@ let run ?(max_steps = 1_000_000_000) t =
    executed by [exec], which owns status, output, and the trap
    handler. *)
 
-let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) ?(trace = false) t =
-  (* traces are spliced out of chain links, so trace mode implies
-     chaining *)
-  let chain = chain || trace in
+let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
   (* an installed probe expects per-instruction metric sampling
      granularity; keep the observer's view on the per-step path *)
   let probed =
@@ -482,150 +478,10 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) ?(trace = false) t =
             steps
       end
     in
-    (* Trace mode wraps the same dispatch in a trace check: every block
-       about to run is offered to [Block.hot_trace], which counts heat,
-       forms superblocks past the threshold, and severs stale ones.
-       [run_trace] mirrors [chain_loop]'s accounting with the trace-wide
-       prefix sums: instructions and batched cycles are charged for the
-       whole path up front and backed out to the exact completion point
-       on a side exit or mid-trace SMC abort — the same order-
-       independent-sum argument that makes per-block batching bit-exact
-       applies unchanged. Conditional direction heat (the bias signal
-       trace formation reads) is maintained only here, so the other
-       modes pay nothing for it. *)
-    let rec trace_loop blk steps =
-      match Block.hot_trace cache blk with
-      | Some tr -> run_trace tr steps
-      | None ->
-          let ni = blk.Block.n_instrs in
-          c.instructions <- c.instructions + ni;
-          (match tmo with
-          | Some tm -> Timing.charge tm blk.Block.static_cycles
-          | None -> ());
-          blk.Block.body ();
-          let aborted = Block.aborted_ops cache in
-          if aborted >= 0 then begin
-            Block.clear_abort cache;
-            c.instructions <- c.instructions - (ni - aborted);
-            (match tmo with
-            | Some tm ->
-                Timing.charge tm
-                  (Array.unsafe_get blk.Block.cyc_prefix aborted
-                  - blk.Block.static_cycles)
-            | None -> ());
-            t.pc <- blk.Block.start + (4 * aborted);
-            steps + aborted
-          end
-          else finish_term blk (steps + ni)
-    (* dispatch a block's terminator after its body (and accounting)
-       completed: the non-trace path above and a completed trace's
-       final segment share this *)
-    and finish_term blk steps =
-      match blk.Block.term with
-      | Block.T_static s ->
-          s.Block.s_exec ();
-          t.pc <- s.Block.s_target;
-          if steps < max_steps then
-            trace_loop (Block.follow_static cache s) steps
-          else steps
-      | Block.T_cond cd ->
-          let taken = cd.Block.c_exec () in
-          if taken then cd.Block.c_theat <- cd.Block.c_theat + 1
-          else cd.Block.c_fheat <- cd.Block.c_fheat + 1;
-          t.pc <- (if taken then cd.Block.c_taken else cd.Block.c_fall);
-          if steps < max_steps then
-            trace_loop (Block.follow_cond cache cd taken) steps
-          else steps
-      | Block.T_indirect ind ->
-          let target = ind.Block.i_exec () in
-          t.pc <- target;
-          if steps < max_steps then
-            trace_loop (Block.follow_indirect cache ind target) steps
-          else steps
-      | Block.T_stop i ->
-          exec t tmo i (blk.Block.start + (4 * (blk.Block.n_instrs - 1)));
-          steps
-    and run_trace tr steps =
-      let ni = tr.Block.tr_n_instrs in
-      c.instructions <- c.instructions + ni;
-      (match tmo with
-      | Some tm -> Timing.charge tm tr.Block.tr_static
-      | None -> ());
-      tr.Block.tr_body ();
-      let aborted = Block.aborted_ops cache in
-      if aborted >= 0 then begin
-        (* a store under the trace's feet, in segment [k]: completed
-           instructions are the full segments before [k] plus the ops
-           the aborting body ran; cycles back out against both prefix
-           sums (trace-wide up to [k], then the block's own) *)
-        let k = Block.trace_abort_block cache in
-        Block.clear_abort cache;
-        let bk = tr.Block.tr_blocks.(k) in
-        let done_i = tr.Block.tr_instr_prefix.(k) + aborted in
-        c.instructions <- c.instructions - (ni - done_i);
-        (match tmo with
-        | Some tm ->
-            Timing.charge tm
-              (tr.Block.tr_cyc_entry.(k)
-              + Array.unsafe_get bk.Block.cyc_prefix aborted
-              - tr.Block.tr_static)
-        | None -> ());
-        t.pc <- bk.Block.start + (4 * aborted);
-        steps + done_i
-      end
-      else begin
-        let se = Block.trace_exit cache in
-        if se >= 0 then begin
-          (* guard [se] diverged after segment [se] completed (its
-             terminator included): rejoin the normal block cache
-             through the guarded link so the cold path chains and
-             counts exactly as block mode would *)
-          Block.clear_trace_exit cache;
-          Block.note_side_exit cache tr;
-          let done_i = tr.Block.tr_instr_prefix.(se + 1) in
-          c.instructions <- c.instructions - (ni - done_i);
-          (match tmo with
-          | Some tm ->
-              Timing.charge tm
-                (tr.Block.tr_cyc_entry.(se + 1) - tr.Block.tr_static)
-          | None -> ());
-          let steps = steps + done_i in
-          match tr.Block.tr_stubs.(se) with
-          | Block.Se_cond cd ->
-              let taken = Block.trace_exit_dir cache in
-              if taken then cd.Block.c_theat <- cd.Block.c_theat + 1
-              else cd.Block.c_fheat <- cd.Block.c_fheat + 1;
-              t.pc <- (if taken then cd.Block.c_taken else cd.Block.c_fall);
-              if steps < max_steps then
-                trace_loop (Block.follow_cond cache cd taken) steps
-              else steps
-          | Block.Se_ind ind ->
-              let target = Block.trace_exit_pc cache in
-              t.pc <- target;
-              if steps < max_steps then
-                trace_loop (Block.follow_indirect cache ind target) steps
-              else steps
-          | Block.Se_none ->
-              (* static transitions compile without an exit path *)
-              assert false
-        end
-        else
-          (* the whole path ran: only the final block's terminator is
-             left, already included in the entry accounting *)
-          finish_term
-            tr.Block.tr_blocks.(Array.length tr.Block.tr_blocks - 1)
-            (steps + ni)
-      end
-    in
     let steps = ref 0 in
-    if trace then
-      while t.status == Running && !steps < max_steps do
-        steps := trace_loop (Block.find cache t.pc) !steps
-      done
-    else
-      while t.status == Running && !steps < max_steps do
-        steps := chain_loop (Block.find cache t.pc) !steps
-      done;
+    while t.status == Running && !steps < max_steps do
+      steps := chain_loop (Block.find cache t.pc) !steps
+    done;
     match t.status with
     | Running ->
         raise
@@ -633,6 +489,31 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) ?(trace = false) t =
              (Printf.sprintf "step limit (%d) exceeded at pc=%#x" max_steps t.pc))
     | Exited _ -> ()
   end
+
+(* The interpreter loops, named once for every caller that picks one
+   (CLI flags, the SDT_EXEC_MODE override, tests). *)
+type mode = [ `Step | `Block | `Block_nochain ]
+
+let modes : mode list = [ `Step; `Block; `Block_nochain ]
+
+let string_of_mode : mode -> string = function
+  | `Step -> "step"
+  | `Block -> "block"
+  | `Block_nochain -> "block-nochain"
+
+let mode_of_string s =
+  match List.find_opt (fun m -> string_of_mode m = s) modes with
+  | Some m -> Ok m
+  | None ->
+      Error
+        (Printf.sprintf "unknown exec mode %S (want %s)" s
+           (String.concat ", " (List.map string_of_mode modes)))
+
+let run_mode ?max_steps (mode : mode) t =
+  match mode with
+  | `Step -> run ?max_steps t
+  | `Block -> run_blocks ?max_steps t
+  | `Block_nochain -> run_blocks ?max_steps ~chain:false t
 
 let block_stats t = Option.map Block.stats t.bcache
 

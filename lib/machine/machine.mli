@@ -62,12 +62,11 @@ val set_trap_handler : t -> (t -> code:int -> trap_pc:int -> unit) -> unit
 
 val set_cfi_guard : t -> (int -> bool) option -> unit
 (** Install the predicate the block interpreter consults before caching
-    an indirect chain link (MRU fill) or compiling a trace indirect
-    guard: [false] refuses the cache entry, forcing that transfer to
-    keep re-probing — and so to keep passing through the emitted policy
-    checks. Purely host-side: simulated results are unaffected. Drops
-    any live block cache, so install it before the first
-    {!run_blocks}. *)
+    an indirect chain link (MRU fill): [false] refuses the cache entry,
+    forcing that transfer to keep re-probing — and so to keep passing
+    through the emitted policy checks. Purely host-side: simulated
+    results are unaffected. Drops any live block cache, so install it
+    before the first {!run_blocks}. *)
 
 val reg : t -> int -> int
 (** Read a register ([reg t 0 = 0]). *)
@@ -84,7 +83,7 @@ val run : ?max_steps:int -> t -> unit
     elapses first — the deterministic workloads always terminate, so
     hitting the limit indicates a translation bug. *)
 
-val run_blocks : ?max_steps:int -> ?chain:bool -> ?trace:bool -> t -> unit
+val run_blocks : ?max_steps:int -> ?chain:bool -> t -> unit
 (** Like {!run}, but through the compiled basic-block cache ({!Block}):
     straight-line runs compile once into pre-specialized closures and
     re-execute with no per-instruction decode, dispatch, or status
@@ -95,16 +94,30 @@ val run_blocks : ?max_steps:int -> ?chain:bool -> ?trace:bool -> t -> unit
     is handled by recompiling blocks whose words were overwritten and
     severing every chain link forged under the old generation (see
     {!Memory.code_gen}). [chain:false] disables link installation so
-    every transition re-probes — the differential-testing mode.
-    [trace:true] (which implies chaining) adds the superblock tier:
-    blocks dispatched {!Block.hot_threshold} times have their predicted
-    path spliced into a single threaded closure chain with biased
-    conditionals and monomorphic indirects guarded by side-exit stubs
-    and the whole path's static cycles charged once per entry
-    ({!Block.hot_trace}) — still bit-identical on every measured
-    quantity. Falls back to {!run} when an observability probe is
-    installed on the timing model, since a probe samples
-    per-instruction state that block execution batches. *)
+    every transition re-probes — the differential-testing mode. Falls
+    back to {!run} when an observability probe is installed on the
+    timing model, since a probe samples per-instruction state that
+    block execution batches. *)
+
+(** {1 Exec modes} *)
+
+type mode = [ `Step | `Block | `Block_nochain ]
+(** The interpreter loops, all bit-identical on every measured
+    quantity: [`Step] is {!run}, [`Block] is {!run_blocks} with chain
+    links, [`Block_nochain] is {!run_blocks} with [~chain:false]. *)
+
+val modes : mode list
+(** Every mode, in the order [step], [block], [block-nochain]. *)
+
+val string_of_mode : mode -> string
+(** ["step"], ["block"] or ["block-nochain"]. *)
+
+val mode_of_string : string -> (mode, string) result
+(** Inverse of {!string_of_mode}; any other string is an [Error] whose
+    message lists the valid names. *)
+
+val run_mode : ?max_steps:int -> mode -> t -> unit
+(** Run to exit in the given mode. *)
 
 val block_stats : t -> Block.stats option
 (** Block-cache statistics, if {!run_blocks} has run on this machine. *)

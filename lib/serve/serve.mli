@@ -37,7 +37,7 @@
     tenant ({!Sdt_core.Env.service}), and the mark is applied as a
     fragment-cache flush at the tenant's next translation lookup —
     the same lazy-invalidation boundary the overflow path uses, so
-    block-cache chains and traces are severed by the ordinary
+    block-cache chains are severed by the ordinary
     {!Sdt_machine.Memory.code_gen} machinery when the flushed cache
     is rewritten. *)
 
@@ -176,7 +176,7 @@ type result = {
 
 val run :
   ?pool:Pool.t ->
-  ?mode:[ `Step | `Block | `Block_nochain | `Trace ] ->
+  ?mode:Sdt_machine.Machine.mode ->
   spec ->
   result
 (** Run the service to completion of every job. With a [pool], epochs

@@ -57,23 +57,10 @@ let fingerprint ~timing ~stats m =
     stats;
   }
 
-let mode_name = function
-  | `Step -> "step"
-  | `Block -> "block"
-  | `Block_nochain -> "block-nochain"
-  | `Trace -> "trace"
-
-let run_native mode m =
-  match mode with
-  | `Step -> Machine.run m
-  | `Block -> Machine.run_blocks m
-  | `Block_nochain -> Machine.run_blocks ~chain:false m
-  | `Trace -> Machine.run_blocks ~trace:true m
-
 let native_fingerprint arch program mode =
   let timing = Timing.create arch in
   let m = Loader.load ~timing program in
-  run_native mode m;
+  Machine.run_mode mode m;
   fingerprint ~timing ~stats:[] m
 
 let sdt_fingerprint arch cfg program mode =
@@ -95,18 +82,20 @@ let check_equivalent label step block =
     Alcotest.failf "%s diverged:\n  step:  %s\n  block: %s" label
       (pp_fingerprint step) (pp_fingerprint block)
 
-(* Four-way: per-step execution is the semantic reference; both block
-   modes (chained, the default, and with links disabled) and the
-   trace/superblock mode must be bit-identical to it. *)
-let check_four_way label fp_of_mode =
+(* Three-way: per-step execution is the semantic reference; both block
+   modes (chained, the default, and with links disabled) must be
+   bit-identical to it. *)
+let check_three_way label fp_of_mode =
   let step = fp_of_mode `Step in
   List.iter
     (fun mode ->
       let fp = fp_of_mode mode in
       if step <> fp then
         Alcotest.failf "%s diverged:\n  step: %s\n  %s: %s" label
-          (pp_fingerprint step) (mode_name mode) (pp_fingerprint fp))
-    [ `Block; `Block_nochain; `Trace ]
+          (pp_fingerprint step)
+          (Machine.string_of_mode mode)
+          (pp_fingerprint fp))
+    [ `Block; `Block_nochain ]
 
 (* ------------------------------------------------------------------ *)
 (* Native equivalence: all 14 workloads x archA/archB *)
@@ -117,7 +106,7 @@ let test_native_equivalence () =
       let program = Suite.program e `Test in
       List.iter
         (fun arch ->
-          check_four_way
+          check_three_way
             (Printf.sprintf "native %s on %s" e.Suite.name arch.Arch.name)
             (native_fingerprint arch program))
         [ Arch.arch_a; Arch.arch_b ])
@@ -160,7 +149,7 @@ let test_sdt_equivalence () =
         (fun arch ->
           List.iter
             (fun (mech_name, cfg) ->
-              check_four_way
+              check_three_way
                 (Printf.sprintf "sdt %s/%s on %s" e.Suite.name mech_name
                    arch.Arch.name)
                 (sdt_fingerprint arch cfg program))
@@ -193,14 +182,15 @@ let test_smc_store_word () =
   List.iter
     (fun mode ->
       let m = Loader.load (smc_program ()) in
-      run_native mode m;
+      Machine.run_mode mode m;
       check string
-        (Printf.sprintf "patched instruction executed (%s)" (mode_name mode))
+        (Printf.sprintf "patched instruction executed (%s)"
+           (Machine.string_of_mode mode))
         "9" (Machine.output m))
-    [ `Step; `Block; `Block_nochain; `Trace ];
+    Machine.modes;
   (* and the modes agree on every counter, not just the output *)
   let program = smc_program () in
-  check_four_way "smc store_word" (native_fingerprint Arch.arch_a program)
+  check_three_way "smc store_word" (native_fingerprint Arch.arch_a program)
 
 (* Host-side patching, linker-style: a trap handler overwrites an
    *already executed* instruction via [Memory.write_bytes] (the same
@@ -250,11 +240,12 @@ let test_smc_write_bytes () =
             Memory.write_bytes m.Machine.mem !patch_addr bytes
           end;
           m.Machine.pc <- trap_pc + 4);
-      run_native mode m;
+      Machine.run_mode mode m;
       check string
-        (Printf.sprintf "host patch visible on re-entry (%s)" (mode_name mode))
+        (Printf.sprintf "host patch visible on re-entry (%s)"
+           (Machine.string_of_mode mode))
         "59" (Machine.output m))
-    [ `Step; `Block; `Block_nochain; `Trace ]
+    Machine.modes
 
 (* The SDT's own self-modification — fragment emission and exit-stub
    linking through [Memory.store_word] — exercised end to end: a
@@ -266,7 +257,7 @@ let test_smc_translator_patching () =
   let program = Suite.program e `Test in
   List.iter
     (fun (mech_name, cfg) ->
-      check_four_way
+      check_three_way
         ("translator patching under " ^ mech_name)
         (sdt_fingerprint Arch.arch_a cfg program))
     mech_configs
@@ -336,7 +327,7 @@ let qcheck_block_equivalence =
         (fun mode ->
           native_step = native_fingerprint arch program mode
           && sdt_step = sdt_fingerprint arch cfg program mode)
-        [ `Block; `Block_nochain; `Trace ])
+        [ `Block; `Block_nochain ])
 
 (* qcheck differential for the adaptive IB mechanism: over random
    synthetic programs x arch x return policy, a run under Adaptive must
@@ -474,99 +465,17 @@ let smc_toggle_program iters =
   Builder.halt b;
   Builder.assemble b ~entry:start
 
-let qcheck_smc_chain_severing =
-  let open QCheck in
-  let arb =
-    make
-      ~print:(fun (iters, arch) ->
-        Printf.sprintf "iters=%d arch=%s" iters arch.Arch.name)
-      Gen.(
-        let* iters = 1 -- 60 in
-        let* arch = oneofl [ Arch.arch_a; Arch.arch_b; Arch.arch_c ] in
-        return (iters, arch))
-  in
-  QCheck.Test.make ~count:30
-    ~name:"mid-run code patching severs chains bit-exactly" arb
-    (fun (iters, arch) ->
-      let program = smc_toggle_program iters in
-      (* iteration i executes +2 when the toggle flipped A->B (odd i) *)
-      let expected =
-        let sum = ref 0 in
-        for i = 1 to iters do
-          sum := !sum + (if i land 1 = 1 then 2 else 1)
-        done;
-        string_of_int !sum
-      in
-      let step = native_fingerprint arch program `Step in
-      step.output = expected
-      && List.for_all
-           (fun mode -> step = native_fingerprint arch program mode)
-           [ `Block; `Block_nochain; `Trace ])
+(* Cross-block SMC: the loop is split into two chained blocks by a
+   never-taken branch; block 1 computes a store target that is a dead
+   scratch word on every iteration except the trigger one, where it
+   points at the first instruction of block 2 — live decoded code in a
+   *different* block, which the loop reaches again through its chain
+   links.
+   Iterations before the trigger add 1, the trigger iteration and every
+   one after it add 2 (the trigger iteration already executes the
+   patched word), so the output is [iters + trigger]. *)
 
-(* ------------------------------------------------------------------ *)
-(* Trace tier: a hot loop with a biased conditional must form a
-   superblock whose cold side is a side-exit stub, and taking that stub
-   must rejoin the normal block cache with every counter identical to
-   the step-mode run. The loop takes the branch 15 of every 16
-   iterations, comfortably past the 7/8 bias threshold, and falls
-   through (the cold +100 arm) on the remaining 8. *)
-
-let biased_cond_iters = 128
-
-let biased_cond_program () =
-  let b = Builder.create () in
-  let start = Builder.here b in
-  let loop_head = Builder.fresh_label b in
-  let join = Builder.fresh_label b in
-  Builder.li b Reg.t5 biased_cond_iters;
-  Builder.place b loop_head;
-  Builder.emit b (Inst.Addi (Reg.a0, Reg.a0, 1));
-  Builder.emit b (Inst.Andi (Reg.t6, Reg.t5, 15));
-  Builder.bne b Reg.t6 Reg.zero join;
-  Builder.emit b (Inst.Addi (Reg.a0, Reg.a0, 100)) (* cold arm *);
-  Builder.place b join;
-  Builder.emit b (Inst.Addi (Reg.t5, Reg.t5, -1));
-  Builder.bne b Reg.t5 Reg.zero loop_head;
-  Builder.li b Reg.v0 1;
-  Builder.syscall b;
-  Builder.halt b;
-  Builder.assemble b ~entry:start
-
-let trace_stats program =
-  let m = Loader.load program in
-  Machine.run_blocks ~trace:true m;
-  match Machine.block_stats m with
-  | Some s -> s
-  | None -> Alcotest.fail "block cache missing after trace run"
-
-let test_trace_side_exit_rejoins () =
-  let program = biased_cond_program () in
-  (* 128 iterations of +1 plus the cold +100 arm on the 8 multiples of
-     16 between 128 and 1 *)
-  let expected = string_of_int (biased_cond_iters + (8 * 100)) in
-  let m = Loader.load program in
-  Machine.run_blocks ~trace:true m;
-  check string "biased-cond output under trace" expected (Machine.output m);
-  let s = trace_stats program in
-  if s.Block.st_trace_compiles < 1 then
-    Alcotest.failf "hot loop never formed a trace (compiles=%d)"
-      s.Block.st_trace_compiles;
-  if s.Block.st_side_exits < 1 then
-    Alcotest.failf "cold arm never took a side exit (side_exits=%d)"
-      s.Block.st_side_exits;
-  (* and the side-exit path is bit-exact against every other mode *)
-  check_four_way "biased-cond program" (native_fingerprint Arch.arch_a program)
-
-(* Mid-trace SMC: the loop is split into two blocks by a never-taken
-   branch; block 1 computes a store target that is a dead scratch word
-   on every iteration except the trigger one, where it points at the
-   first instruction of block 2 — live decoded code *inside the running
-   trace*. The store must abort the trace between segments, back out
-   the batched cycles exactly, sever the trace, and let it re-form over
-   the patched code (63 iterations remain past the trigger, more than
-   the 32-dispatch heat threshold). *)
-
-let smc_mid_trace_program ~iters ~trigger =
+let smc_cross_block_program ~iters ~trigger =
   let b = Builder.create () in
   let start = Builder.here b in
   let site = Builder.fresh_label b in
@@ -585,7 +494,7 @@ let smc_mid_trace_program ~iters ~trigger =
   Builder.emit b (Inst.Add (Reg.t2, Reg.t8, Reg.t7)) (* scratch or site *);
   Builder.emit b (Inst.Sw (Reg.t9, Reg.t2, 0));
   (* never taken: forces a block boundary so the store above and the
-     patch site below live in different trace segments *)
+     patch site below live in different chained blocks *)
   Builder.bne b Reg.zero Reg.zero loop_head;
   Builder.place b site;
   Builder.emit b (Inst.Addi (Reg.a0, Reg.a0, 1));
@@ -601,26 +510,43 @@ let smc_mid_trace_program ~iters ~trigger =
   Builder.nop b;
   Builder.assemble b ~entry:start
 
-let test_trace_smc_abort () =
-  let iters = 128 and trigger = 64 in
-  let program = smc_mid_trace_program ~iters ~trigger in
-  (* +1 per iteration until the patch lands (t5 = 128..65), +2 after it
-     — the trigger iteration itself already executes the patched word *)
-  let expected = string_of_int (iters + trigger) in
-  let m = Loader.load program in
-  Machine.run_blocks ~trace:true m;
-  check string "mid-trace SMC output under trace" expected (Machine.output m);
-  let s = trace_stats program in
-  if s.Block.st_trace_compiles < 2 then
-    Alcotest.failf "trace did not re-form after the sever (compiles=%d)"
-      s.Block.st_trace_compiles;
-  if s.Block.st_trace_severs < 1 then
-    Alcotest.failf "patch did not sever the trace (severs=%d)"
-      s.Block.st_trace_severs;
-  if s.Block.st_trace_aborts < 1 then
-    Alcotest.failf "patch did not abort mid-trace (aborts=%d)"
-      s.Block.st_trace_aborts;
-  check_four_way "mid-trace SMC program" (native_fingerprint Arch.arch_a program)
+let qcheck_smc_chain_severing =
+  let open QCheck in
+  let arb =
+    make
+      ~print:(fun (iters, trigger, arch) ->
+        Printf.sprintf "iters=%d trigger=%d arch=%s" iters trigger
+          arch.Arch.name)
+      Gen.(
+        let* iters = 1 -- 60 in
+        let* trigger = 1 -- iters in
+        let* arch = oneofl [ Arch.arch_a; Arch.arch_b; Arch.arch_c ] in
+        return (iters, trigger, arch))
+  in
+  (* step output is [expected] and both block modes match step exactly *)
+  let agrees arch program expected =
+    let step = native_fingerprint arch program `Step in
+    step.output = expected
+    && List.for_all
+         (fun mode -> step = native_fingerprint arch program mode)
+         [ `Block; `Block_nochain ]
+  in
+  QCheck.Test.make ~count:30
+    ~name:"mid-run code patching severs chains bit-exactly" arb
+    (fun (iters, trigger, arch) ->
+      (* toggle: iteration i executes +2 when the toggle flipped A->B
+         (odd i) *)
+      let toggled =
+        let sum = ref 0 in
+        for i = 1 to iters do
+          sum := !sum + (if i land 1 = 1 then 2 else 1)
+        done;
+        string_of_int !sum
+      in
+      agrees arch (smc_toggle_program iters) toggled
+      && agrees arch
+           (smc_cross_block_program ~iters ~trigger)
+           (string_of_int (iters + trigger)))
 
 (* ------------------------------------------------------------------ *)
 (* Direct-mapped collision regression: two hot call targets whose
@@ -684,7 +610,7 @@ let test_collision_decode_ceiling () =
        the slot aliasing still real?"
       (2 * collision_iters) nochain;
   (* and the aliasing pair stays bit-exact in every mode *)
-  check_four_way "collision program" (native_fingerprint Arch.arch_a program)
+  check_three_way "collision program" (native_fingerprint Arch.arch_a program)
 
 (* ------------------------------------------------------------------ *)
 (* Observer fallback: with a probe installed, run_blocks must take the
@@ -713,11 +639,7 @@ let test_probe_falls_back () =
    in which loading, translation and block compilation (the same at
    both sizes) cancel out. The figure is exact and deterministic:
    everything runs on this one domain, and [Gc.minor_words] counts the
-   calling domain only.
-
-   `Trace is not gated: trace formation and dispatch still allocate
-   (about 0.05 words per instruction on gcc and 0.08 on the micro,
-   from the [Some (b, P_...)] tuples of the predicted-path walk). *)
+   calling domain only. *)
 
 let alloc_bound = 0.02
 
@@ -784,16 +706,41 @@ let test_steady_state_allocation () =
                       if i2 <= i1 || per_instr > alloc_bound then
                         failures :=
                           Printf.sprintf "%s %s %s %s: %.4f words/instr"
-                            (mode_name mode) arch.Arch.name name label per_instr
+                            (Machine.string_of_mode mode)
+                            arch.Arch.name name label per_instr
                           :: !failures)
                     small large)
                 alloc_programs)
             [ Arch.arch_a; Arch.arch_b; Arch.arch_c ])
-        [ `Step; `Block; `Block_nochain ];
+        Machine.modes;
       if !failures <> [] then
         Alcotest.failf "marginal allocation above %.2f words/instr:\n  %s"
           alloc_bound
           (String.concat "\n  " (List.rev !failures)))
+
+(* ------------------------------------------------------------------ *)
+(* The exec-mode names: every mode round-trips through its name, and
+   nothing else parses — a removed or misspelt mode must not fall back
+   to a default. *)
+
+let test_mode_names () =
+  List.iter
+    (fun (name, mode) ->
+      match Machine.mode_of_string name with
+      | Ok m when m = mode ->
+          check string "round trip" name (Machine.string_of_mode m)
+      | _ -> Alcotest.failf "mode_of_string rejects %S" name)
+    [ ("step", `Step); ("block", `Block); ("block-nochain", `Block_nochain) ];
+  List.iter
+    (fun name ->
+      match Machine.mode_of_string name with
+      | Ok _ -> Alcotest.failf "mode_of_string accepts %S" name
+      | Error msg ->
+          check string "error lists the valid modes"
+            (Printf.sprintf "unknown exec mode %S (want step, block, \
+                             block-nochain)" name)
+            msg)
+    [ "trace"; ""; "blocknochain"; "Block" ]
 
 let () =
   Alcotest.run "sdt_block"
@@ -827,14 +774,9 @@ let () =
           Alcotest.test_case "steady state allocates nothing" `Quick
             test_steady_state_allocation;
         ] );
-      ( "traces",
-        [
-          Alcotest.test_case "biased cond: side exit rejoins bit-exactly"
-            `Quick test_trace_side_exit_rejoins;
-          Alcotest.test_case "mid-trace SMC aborts, severs, re-forms" `Quick
-            test_trace_smc_abort;
-        ] );
       ( "observer",
         [ Alcotest.test_case "probe falls back to step path" `Quick
             test_probe_falls_back ] );
+      ( "exec modes",
+        [ Alcotest.test_case "names parse exactly" `Quick test_mode_names ] );
     ]

@@ -778,8 +778,9 @@ let cfi_equivalence_cases =
     cfi_mechs
 
 let test_cfi_traces_and_flush () =
-  (* the policy stage composes with the trace tier, flush pressure and
-     a tiny shadow stack without perturbing guest results *)
+  (* the policy stage composes with translator trace formation (A4),
+     flush pressure and a tiny shadow stack without perturbing guest
+     results *)
   equivalence_case
     ~cfg:
       {

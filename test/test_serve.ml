@@ -17,12 +17,8 @@ module Store = Sdt_serve.Store
 module Serve = Sdt_serve.Serve
 module Registry = Sdt_observe.Registry
 
-let mode : [ `Step | `Block | `Block_nochain | `Trace ] =
-  match Sys.getenv_opt "SDT_EXEC_MODE" with
-  | Some "step" -> `Step
-  | Some "block-nochain" -> `Block_nochain
-  | Some "trace" -> `Trace
-  | Some _ | None -> `Block
+(* the harness's SDT_EXEC_MODE parse, so a CI leg runs the mode it names *)
+let mode = Sdt_harness.Run.get_exec_mode ()
 
 (* ------------------------------------------------------------------ *)
 (* Store unit tests *)
