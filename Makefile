@@ -55,8 +55,8 @@ perf-exec-smoke:
 # the adaptive-selection experiment: the regression gate on F10 (run
 # behind F8/F9 so the in-run memo mirrors the full-grid baseline
 # conditions — the three share the static-mechanism cells) plus the
-# F10 perf report, whose adaptive-IB line prints the
-# promotion/demotion/re-patch totals for the pass
+# F10 perf report, whose counter block includes the adaptive
+# promotion/demotion/re-patch totals
 perf-adapt:
 	dune exec bench/main.exe -- --size test --only F8,F9,F10 --check-perf \
 	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
@@ -64,8 +64,9 @@ perf-adapt:
 	dune exec bench/main.exe -- --size test --only F10 --no-bechamel --perf
 
 # the multi-tenant serving experiment: the regression gate on F11
-# plus the F11 perf report, whose serving line prints the
-# jobs/dedup/eviction/flush totals for the pass
+# plus the F11 perf report, whose counter block includes the
+# serve_* jobs/dedup/eviction/flush totals and the service jobs'
+# block-cache counters
 perf-serve:
 	dune exec bench/main.exe -- --size test --only F11 --check-perf \
 	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \
@@ -73,7 +74,8 @@ perf-serve:
 	dune exec bench/main.exe -- --size test --only F11 --no-bechamel --perf
 
 # the F12 CFI gate: protection-overhead grid against the committed
-# baseline, then the cfi_* counter block for eyeballing
+# baseline, then the F12 perf report, whose counter block includes the
+# cfi_* totals for eyeballing
 perf-cfi:
 	dune exec bench/main.exe -- --size test --only F12 --check-perf \
 	  --exec-mode $(PERF_MODE) --perf-tolerance $(PERF_TOLERANCE) \

@@ -260,56 +260,35 @@ type cell_report = {
   r_cells : int;  (** unique grid cells *)
   r_simulated : int;  (** cells actually simulated this experiment *)
   r_cache_hits : int;  (** cells served from memory or disk *)
-  r_instructions : int;  (** guest instructions the simulated cells ran *)
-  r_mips : float;  (** r_instructions / wall seconds, in millions *)
-  r_block_decodes : int;  (** blocks compiled by the simulated cells *)
-  r_block_invalidations : int;  (** recompiles forced by SMC *)
-  r_chain_hits : int;  (** block transitions served by a chain link *)
-  r_chain_severs : int;  (** chain links dropped as stale *)
-  r_adapt_promotions : int;  (** adaptive tier promotions taken *)
-  r_adapt_demotions : int;  (** adaptive tier demotions taken *)
-  r_adapt_repatches : int;  (** adaptive exit transfers re-patched *)
-  r_cfi_checks : int;  (** CFI membership tests run by the simulated cells *)
-  r_cfi_violations : int;  (** CFI violations recorded *)
-  r_cfi_xcalls : int;  (** mediated cross-compartment transfers *)
-  r_serve_jobs : int;  (** guest jobs completed by service runs *)
-  r_serve_dedup_hits : int;  (** translations served as cross-tenant copies *)
-  r_serve_evictions : int;  (** shared-store entries evicted *)
-  r_serve_flushes : int;  (** tenant fragment-cache flushes *)
+  r_mips : float;  (** simulated instructions / wall seconds, in millions *)
+  r_counters : (string * int) list;
+      (** the experiment's {!Run.counters} delta, in ledger order *)
 }
 
 let experiment_json (e : Experiments.experiment) size ~jobs seconds
     (r : cell_report) tables =
   Jsonw.Obj
-    [
-      ("id", Jsonw.Str e.Experiments.id);
-      ("title", Jsonw.Str e.Experiments.title);
-      ("size", Jsonw.Str (match size with `Test -> "test" | `Ref -> "ref"));
-      ("jobs", Jsonw.Int jobs);
-      ("seconds", Jsonw.Float seconds);
-      ("cells", Jsonw.Int r.r_cells);
-      ("simulated", Jsonw.Int r.r_simulated);
-      ("cache_hits", Jsonw.Int r.r_cache_hits);
-      ("instructions", Jsonw.Int r.r_instructions);
-      ("mips", Jsonw.Float r.r_mips);
-      ("block_decodes", Jsonw.Int r.r_block_decodes);
-      ("block_invalidations", Jsonw.Int r.r_block_invalidations);
-      ("chain_hits", Jsonw.Int r.r_chain_hits);
-      ("chain_severs", Jsonw.Int r.r_chain_severs);
-      ("adapt_promotions", Jsonw.Int r.r_adapt_promotions);
-      ("adapt_demotions", Jsonw.Int r.r_adapt_demotions);
-      ("adapt_repatches", Jsonw.Int r.r_adapt_repatches);
-      ("cfi_checks", Jsonw.Int r.r_cfi_checks);
-      ("cfi_violations", Jsonw.Int r.r_cfi_violations);
-      ("cfi_xcalls", Jsonw.Int r.r_cfi_xcalls);
-      ("serve_jobs", Jsonw.Int r.r_serve_jobs);
-      ("serve_dedup_hits", Jsonw.Int r.r_serve_dedup_hits);
-      ("serve_evictions", Jsonw.Int r.r_serve_evictions);
-      ("serve_flushes", Jsonw.Int r.r_serve_flushes);
-      ("tables", Jsonw.List (List.map table_json tables));
-    ]
+    ([
+       ("id", Jsonw.Str e.Experiments.id);
+       ("title", Jsonw.Str e.Experiments.title);
+       ("size", Jsonw.Str (match size with `Test -> "test" | `Ref -> "ref"));
+       ("jobs", Jsonw.Int jobs);
+       ("seconds", Jsonw.Float seconds);
+       ("cells", Jsonw.Int r.r_cells);
+       ("simulated", Jsonw.Int r.r_simulated);
+       ("cache_hits", Jsonw.Int r.r_cache_hits);
+       ("mips", Jsonw.Float r.r_mips);
+     ]
+    @ List.map (fun (k, v) -> (k, Jsonw.Int v)) r.r_counters
+    @ [ ("tables", Jsonw.List (List.map table_json tables)) ])
 
 let now = Unix.gettimeofday
+
+(* [f ()] and how much it grew each ledger counter. *)
+let counting f =
+  let c0 = Run.counters () in
+  let x = f () in
+  (x, List.map2 (fun (k, v1) (_, v0) -> (k, v1 - v0)) (Run.counters ()) c0)
 
 (* Evaluate the grid through the pool, then assemble the tables (all
    cache lookups by construction). A cell is a "cache hit" when the
@@ -317,43 +296,23 @@ let now = Unix.gettimeofday
    from the on-disk cache of a previous one. *)
 let run_one pool size (e : Experiments.experiment) =
   let s0 = (Run.cache_stats ()).Run.simulated in
-  let i0 = Run.simulated_instructions () in
-  let b0 = Run.block_cache_stats () in
-  let a0 = Run.adapt_stats () in
-  let c0 = Run.cfi_stats () in
-  let v0 = Run.serve_stats () in
   let t0 = now () in
-  let cells = Experiments.evaluate ~pool size e in
-  let tables = e.Experiments.run size in
+  let (cells, tables), counters =
+    counting (fun () ->
+        let cells = Experiments.evaluate ~pool size e in
+        (cells, e.Experiments.run size))
+  in
   let seconds = now () -. t0 in
   let simulated = (Run.cache_stats ()).Run.simulated - s0 in
-  let instructions = Run.simulated_instructions () - i0 in
-  let b1 = Run.block_cache_stats () in
-  let a1 = Run.adapt_stats () in
-  let c1 = Run.cfi_stats () in
-  let v1 = Run.serve_stats () in
+  let instructions = List.assoc "instructions" counters in
   ( tables,
     seconds,
     {
       r_cells = cells;
       r_simulated = simulated;
       r_cache_hits = cells - simulated;
-      r_instructions = instructions;
       r_mips = float_of_int instructions /. Float.max seconds 1e-9 /. 1e6;
-      r_block_decodes = b1.Run.decodes - b0.Run.decodes;
-      r_block_invalidations = b1.Run.invalidations - b0.Run.invalidations;
-      r_chain_hits = b1.Run.chain_hits - b0.Run.chain_hits;
-      r_chain_severs = b1.Run.chain_severs - b0.Run.chain_severs;
-      r_adapt_promotions = a1.Run.promotions - a0.Run.promotions;
-      r_adapt_demotions = a1.Run.demotions - a0.Run.demotions;
-      r_adapt_repatches = a1.Run.repatches - a0.Run.repatches;
-      r_cfi_checks = c1.Run.checks - c0.Run.checks;
-      r_cfi_violations = c1.Run.violations - c0.Run.violations;
-      r_cfi_xcalls = c1.Run.xcalls - c0.Run.xcalls;
-      r_serve_jobs = v1.Run.jobs_served - v0.Run.jobs_served;
-      r_serve_dedup_hits = v1.Run.dedup_hits - v0.Run.dedup_hits;
-      r_serve_evictions = v1.Run.evictions - v0.Run.evictions;
-      r_serve_flushes = v1.Run.service_flushes - v0.Run.service_flushes;
+      r_counters = counters;
     } )
 
 let run_experiments pool size csv_dir json_dir exps =
@@ -396,7 +355,7 @@ let run_experiments pool size csv_dir json_dir exps =
          %!"
         e.Experiments.id e.Experiments.title seconds r.r_cells r.r_simulated
         r.r_cache_hits
-        (r.r_instructions / 1_000_000)
+        (List.assoc "instructions" r.r_counters / 1_000_000)
         r.r_mips)
     exps;
   Printf.printf
@@ -450,25 +409,11 @@ let run_perf size jobs exps =
   Printf.printf "  serial/parallel ratio: %.2fx\n" (serial /. parallel);
   Printf.printf "  serial/warm ratio:     %.0fx\n%!"
     (serial /. Float.max warm 1e-6);
-  let b = Run.block_cache_stats () in
-  Printf.printf
-    "  block cache: %d decodes, %d invalidations, %d chain hits, %d chain \
-     severs\n%!"
-    b.Run.decodes b.Run.invalidations b.Run.chain_hits b.Run.chain_severs;
-  let a = Run.adapt_stats () in
-  if a.Run.promotions + a.Run.demotions + a.Run.repatches > 0 then
-    Printf.printf
-      "  adaptive IB: %d promotions, %d demotions, %d repatches\n%!"
-      a.Run.promotions a.Run.demotions a.Run.repatches;
-  let v = Run.serve_stats () in
-  if v.Run.jobs_served > 0 then
-    Printf.printf
-      "  serving: %d jobs, %d dedup hits, %d evictions, %d flushes\n%!"
-      v.Run.jobs_served v.Run.dedup_hits v.Run.evictions v.Run.service_flushes;
-  let c = Run.cfi_stats () in
-  if c.Run.checks + c.Run.violations + c.Run.xcalls > 0 then
-    Printf.printf "  cfi: %d checks, %d violations, %d xcalls\n%!" c.Run.checks
-      c.Run.violations c.Run.xcalls
+  Printf.printf "  counters (all passes, nonzero):\n";
+  List.iter
+    (fun (k, v) -> if v <> 0 then Printf.printf "    %-22s %12d\n" k v)
+    (Run.counters ());
+  flush stdout
 
 (* The committed baseline wall time for an experiment selection: the
    sum of the "seconds" fields of bench/baselines/BENCH_<id>.json, if
@@ -569,15 +514,20 @@ let run_check_perf (o : options) exps =
      the selection with the in-run memo shared across experiments
      (F8/F9 share a grid — clearing between experiments would time F9
      against a baseline that served every cell from cache). Best-of-N
-     is then taken per experiment across whole passes. *)
+     is then taken per experiment across whole passes. Each
+     experiment's ledger delta from the first pass rides along in the
+     trajectory row (later passes re-simulate the same cells). *)
   let pass () =
     Run.clear_cache ();
     List.map
       (fun (e : Experiments.experiment) ->
         let t0 = now () in
-        ignore (Experiments.evaluate o.size e);
-        ignore (e.Experiments.run o.size);
-        (e.Experiments.id, now () -. t0))
+        let (), counters =
+          counting (fun () ->
+              ignore (Experiments.evaluate o.size e);
+              ignore (e.Experiments.run o.size))
+        in
+        (e.Experiments.id, (now () -. t0, counters)))
       exps
   in
   let passes = List.init o.best_of (fun _ -> pass ()) in
@@ -585,9 +535,12 @@ let run_check_perf (o : options) exps =
     List.map
       (fun (e : Experiments.experiment) ->
         let id = e.Experiments.id in
-        (id, Perfgate.best_of (List.map (List.assoc id) passes)))
+        ( id,
+          Perfgate.best_of
+            (List.map (fun p -> fst (List.assoc id p)) passes) ))
       exps
   in
+  let counters = List.map (fun (id, (_, c)) -> (id, c)) (List.hd passes) in
   let verdicts =
     Perfgate.check ~tolerance:o.tolerance
       ~baseline:(Perfgate.load_baseline ~dir:o.baseline_dir)
@@ -603,7 +556,7 @@ let run_check_perf (o : options) exps =
       ()
   in
   Perfgate.append_trajectory ~file:o.trajectory
-    (Perfgate.trajectory_row ~meta ~tolerance:o.tolerance verdicts);
+    (Perfgate.trajectory_row ~meta ~tolerance:o.tolerance ~counters verdicts);
   Printf.printf "  [trajectory row appended to %s]\n%!" o.trajectory;
   match Perfgate.regressions verdicts with
   | [] -> Printf.printf "  perf-check: ok\n%!"

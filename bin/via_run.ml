@@ -79,14 +79,7 @@ let write_introspect ?site_mech ?cfi dir sieve m =
 let block_stats_json m =
   match Machine.block_stats m with
   | None -> Jsonw.Null
-  | Some s ->
-      Jsonw.Obj
-        [
-          ("decodes", Jsonw.Int s.Sdt_machine.Block.st_decodes);
-          ("invalidations", Jsonw.Int s.Sdt_machine.Block.st_invalidations);
-          ("chain_hits", Jsonw.Int s.Sdt_machine.Block.st_chain_hits);
-          ("chain_severs", Jsonw.Int s.Sdt_machine.Block.st_chain_severs);
-        ]
+  | Some s -> Jsonw.int_obj s
 
 let load_program file workload size =
   match (file, workload) with
@@ -185,16 +178,14 @@ let print_profile prof symbols total_cycles =
   end
 
 (* block-cache activity (compiled blocks, SMC recompiles, chain-link
-   hits/severs); only the block modes have any *)
+   hits); only the block modes have any *)
 let print_block_stats m =
   match Machine.block_stats m with
   | None -> ()
   | Some s ->
-      Printf.printf
-        "block cache:  %d decodes, %d invalidations, %d chain hits, %d chain \
-         severs\n"
-        s.Sdt_machine.Block.st_decodes s.Sdt_machine.Block.st_invalidations
-        s.Sdt_machine.Block.st_chain_hits s.Sdt_machine.Block.st_chain_severs
+      Printf.printf "block cache:  %s\n"
+        (String.concat ", "
+           (List.map (fun (k, v) -> Printf.sprintf "%d %s" v k) s))
 
 (* --serve "NAME=PROG[xJOBS],...": one tenant per element. PROG is a
    suite workload (sized by --size, or explicitly with @N) or
@@ -758,10 +749,7 @@ let run file workload size_name native arch_name mech ibtc_entries
                      | Some c -> Jsonw.Int c
                      | None -> Jsonw.Null );
                    ( "stats",
-                     Jsonw.Obj
-                       (List.map
-                          (fun (k, v) -> (k, Jsonw.Int v))
-                          (Stats.to_assoc (Runtime.stats rt))) );
+                     Jsonw.int_obj (Stats.to_assoc (Runtime.stats rt)) );
                    ("block_cache", block_stats_json m);
                    ( "mech",
                      Jsonw.Obj

@@ -53,65 +53,66 @@ let create () =
     cfi_xcalls = 0;
   }
 
-let reset t =
-  t.blocks_translated <- 0;
-  t.insts_translated <- 0;
-  t.links <- 0;
-  t.dispatch_entries <- 0;
-  t.ibtc_misses_full <- 0;
-  t.ibtc_misses_fast <- 0;
-  t.ibtc_tables <- 0;
-  t.sieve_misses <- 0;
-  t.sieve_stubs <- 0;
-  t.retcache_fallbacks <- 0;
-  t.shadow_fallbacks <- 0;
-  t.pred_fills <- 0;
-  t.pred_exhausted_sites <- 0;
-  t.flushes <- 0;
-  t.ib_sites <- 0;
-  t.adapt_promotions <- 0;
-  t.adapt_demotions <- 0;
-  t.adapt_repatches <- 0;
-  t.dedup_hits <- 0;
-  t.service_evictions <- 0;
-  t.cfi_checks <- 0;
-  t.cfi_validations <- 0;
-  t.cfi_violations <- 0;
-  t.cfi_xcalls <- 0
+(* The one list of counters: every name once, with its accessors.
+   Reset, the machine-readable form and its inverse all iterate it, so
+   adding a counter is a record field, its zero in [create] and one
+   entry here. *)
+let fields : (string * (t -> int) * (t -> int -> unit)) list =
+  [
+    ( "blocks_translated", (fun t -> t.blocks_translated),
+      fun t v -> t.blocks_translated <- v );
+    ( "insts_translated", (fun t -> t.insts_translated),
+      fun t v -> t.insts_translated <- v );
+    ("links", (fun t -> t.links), fun t v -> t.links <- v);
+    ( "dispatch_entries", (fun t -> t.dispatch_entries),
+      fun t v -> t.dispatch_entries <- v );
+    ( "ibtc_misses_full", (fun t -> t.ibtc_misses_full),
+      fun t v -> t.ibtc_misses_full <- v );
+    ( "ibtc_misses_fast", (fun t -> t.ibtc_misses_fast),
+      fun t v -> t.ibtc_misses_fast <- v );
+    ("ibtc_tables", (fun t -> t.ibtc_tables), fun t v -> t.ibtc_tables <- v);
+    ("sieve_misses", (fun t -> t.sieve_misses), fun t v -> t.sieve_misses <- v);
+    ("sieve_stubs", (fun t -> t.sieve_stubs), fun t v -> t.sieve_stubs <- v);
+    ( "retcache_fallbacks", (fun t -> t.retcache_fallbacks),
+      fun t v -> t.retcache_fallbacks <- v );
+    ( "shadow_fallbacks", (fun t -> t.shadow_fallbacks),
+      fun t v -> t.shadow_fallbacks <- v );
+    ("pred_fills", (fun t -> t.pred_fills), fun t v -> t.pred_fills <- v);
+    ( "pred_exhausted_sites", (fun t -> t.pred_exhausted_sites),
+      fun t v -> t.pred_exhausted_sites <- v );
+    ("flushes", (fun t -> t.flushes), fun t v -> t.flushes <- v);
+    ("ib_sites", (fun t -> t.ib_sites), fun t v -> t.ib_sites <- v);
+    ( "adapt_promotions", (fun t -> t.adapt_promotions),
+      fun t v -> t.adapt_promotions <- v );
+    ( "adapt_demotions", (fun t -> t.adapt_demotions),
+      fun t v -> t.adapt_demotions <- v );
+    ( "adapt_repatches", (fun t -> t.adapt_repatches),
+      fun t v -> t.adapt_repatches <- v );
+    ("dedup_hits", (fun t -> t.dedup_hits), fun t v -> t.dedup_hits <- v);
+    ( "service_evictions", (fun t -> t.service_evictions),
+      fun t v -> t.service_evictions <- v );
+    ("cfi_checks", (fun t -> t.cfi_checks), fun t v -> t.cfi_checks <- v);
+    ( "cfi_validations", (fun t -> t.cfi_validations),
+      fun t v -> t.cfi_validations <- v );
+    ( "cfi_violations", (fun t -> t.cfi_violations),
+      fun t v -> t.cfi_violations <- v );
+    ("cfi_xcalls", (fun t -> t.cfi_xcalls), fun t v -> t.cfi_xcalls <- v);
+  ]
+
+let reset t = List.iter (fun (_, _, set) -> set t 0) fields
 
 let total_ib_misses t =
   t.dispatch_entries + t.ibtc_misses_full + t.ibtc_misses_fast + t.sieve_misses
   + t.retcache_fallbacks + t.shadow_fallbacks
 
-(* the one canonical machine-readable form; pp and the metrics exporter
-   both derive from it, so adding a counter here is the whole job *)
-let to_assoc t =
-  [
-    ("blocks_translated", t.blocks_translated);
-    ("insts_translated", t.insts_translated);
-    ("links", t.links);
-    ("dispatch_entries", t.dispatch_entries);
-    ("ibtc_misses_full", t.ibtc_misses_full);
-    ("ibtc_misses_fast", t.ibtc_misses_fast);
-    ("ibtc_tables", t.ibtc_tables);
-    ("sieve_misses", t.sieve_misses);
-    ("sieve_stubs", t.sieve_stubs);
-    ("retcache_fallbacks", t.retcache_fallbacks);
-    ("shadow_fallbacks", t.shadow_fallbacks);
-    ("pred_fills", t.pred_fills);
-    ("pred_exhausted_sites", t.pred_exhausted_sites);
-    ("flushes", t.flushes);
-    ("ib_sites", t.ib_sites);
-    ("adapt_promotions", t.adapt_promotions);
-    ("adapt_demotions", t.adapt_demotions);
-    ("adapt_repatches", t.adapt_repatches);
-    ("dedup_hits", t.dedup_hits);
-    ("service_evictions", t.service_evictions);
-    ("cfi_checks", t.cfi_checks);
-    ("cfi_validations", t.cfi_validations);
-    ("cfi_violations", t.cfi_violations);
-    ("cfi_xcalls", t.cfi_xcalls);
-  ]
+let to_assoc t = List.map (fun (name, get, _) -> (name, get t)) fields
+
+let of_assoc kvs =
+  let t = create () in
+  List.iter
+    (fun (name, _, set) -> Option.iter (set t) (List.assoc_opt name kvs))
+    fields;
+  t
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";

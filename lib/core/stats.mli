@@ -40,8 +40,15 @@ val total_ib_misses : t -> int
 
 val to_assoc : t -> (string * int) list
 (** Every counter as [(name, value)], in declaration order — the one
-    canonical machine-readable form; {!pp} and the metrics exporters
-    derive from it. *)
+    canonical machine-readable form; {!pp}, the metrics exporters and
+    the harness's counter ledger derive from it. Each counter's name is
+    defined once, in the table that drives this, {!of_assoc} and
+    {!reset}. *)
+
+val of_assoc : (string * int) list -> t
+(** Inverse of {!to_assoc}: fresh counters set from the named values;
+    a counter missing from the list is 0 and an unknown name is
+    ignored. *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human-readable dump (one [name: value] line per

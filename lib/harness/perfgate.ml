@@ -68,7 +68,7 @@ let status_str = function
   | Regressed -> "regressed"
   | No_baseline -> "no-baseline"
 
-let trajectory_row ~meta ~tolerance verdicts =
+let trajectory_row ~meta ~tolerance ?(counters = []) verdicts =
   Jsonw.Obj
     [
       ("meta", meta);
@@ -77,14 +77,20 @@ let trajectory_row ~meta ~tolerance verdicts =
         Jsonw.List
           (List.map
              (fun v ->
+               let counters =
+                 match List.assoc_opt v.v_id counters with
+                 | None -> []
+                 | Some kvs -> [ ("counters", Jsonw.int_obj kvs) ]
+               in
                Jsonw.Obj
-                 [
-                   ("id", Jsonw.Str v.v_id);
-                   ("seconds", Jsonw.Float v.v_seconds);
-                   ("baseline", Jsonw.Float v.v_baseline);
-                   ("ratio", Jsonw.Float v.v_ratio);
-                   ("status", Jsonw.Str (status_str v.v_status));
-                 ])
+                 ([
+                    ("id", Jsonw.Str v.v_id);
+                    ("seconds", Jsonw.Float v.v_seconds);
+                    ("baseline", Jsonw.Float v.v_baseline);
+                    ("ratio", Jsonw.Float v.v_ratio);
+                    ("status", Jsonw.Str (status_str v.v_status));
+                  ]
+                 @ counters))
              verdicts) );
       ("regressed", Jsonw.Bool (regressions verdicts <> []));
     ]

@@ -54,10 +54,15 @@ val pp_verdict : Format.formatter -> verdict -> unit
 val trajectory_row :
   meta:Sdt_observe.Jsonw.t ->
   tolerance:float ->
+  ?counters:(string * (string * int) list) list ->
   verdict list ->
   Sdt_observe.Jsonw.t
 (** One [trajectory.jsonl] row: the provenance record ({!Meta}), the
-    tolerance, every verdict, and the overall [regressed] flag. *)
+    tolerance, every verdict, and the overall [regressed] flag. A
+    verdict whose id appears in [counters] also carries that
+    experiment's counter-ledger delta ({!Run.counters}) as a
+    [counters] object, so a flagged regression has its counters next
+    to it. *)
 
 val append_trajectory : file:string -> Sdt_observe.Jsonw.t -> unit
 (** Append the row to [file] as one JSON line (creating the file). *)

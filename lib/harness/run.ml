@@ -65,117 +65,58 @@ let exec_mode : Machine.mode ref =
 let set_exec_mode m = exec_mode := m
 let get_exec_mode () = !exec_mode
 
-(* Block-cache statistics accumulated across every simulated machine
-   (memoized cells add nothing, as with {!sim_instrs}), native and SDT
-   alike; feeds the bench JSON counters and --perf reporting. *)
-let bc_decodes = Atomic.make 0
-let bc_invalidations = Atomic.make 0
-let bc_chain_hits = Atomic.make 0
-let bc_chain_severs = Atomic.make 0
+(* The counter ledger: every counter the harness sums over
+   actually-simulated runs (memoized cells add nothing, native, SDT
+   and service runs alike), accumulated atomically across pool
+   domains. Each entry is named once — its BENCH JSON key, in emission
+   order — with the layer it is read from and its name in that layer's
+   counter assoc. *)
+type source = Machine | Block | Stats | Serve
 
-type block_cache_stats = {
-  decodes : int;
-  invalidations : int;
-  chain_hits : int;
-  chain_severs : int;
-}
+let ledger =
+  List.map
+    (fun (key, src, name) -> (key, src, name, Atomic.make 0))
+    [
+      ("instructions", Machine, "instructions");
+      ("block_decodes", Block, "decodes");
+      ("block_invalidations", Block, "invalidations");
+      ("chain_hits", Block, "chain_hits");
+      ("adapt_promotions", Stats, "adapt_promotions");
+      ("adapt_demotions", Stats, "adapt_demotions");
+      ("adapt_repatches", Stats, "adapt_repatches");
+      ("cfi_checks", Stats, "cfi_checks");
+      ("cfi_violations", Stats, "cfi_violations");
+      ("cfi_xcalls", Stats, "cfi_xcalls");
+      ("serve_jobs", Serve, "jobs");
+      ("serve_dedup_hits", Serve, "dedup_hits");
+      ("serve_evictions", Serve, "evictions");
+      ("serve_flushes", Serve, "flushes");
+    ]
 
-let note_block_stats m =
-  match Machine.block_stats m with
-  | None -> ()
-  | Some s ->
-      ignore (Atomic.fetch_and_add bc_decodes s.Sdt_machine.Block.st_decodes);
-      ignore
-        (Atomic.fetch_and_add bc_invalidations
-           s.Sdt_machine.Block.st_invalidations);
-      ignore
-        (Atomic.fetch_and_add bc_chain_hits s.Sdt_machine.Block.st_chain_hits);
-      ignore
-        (Atomic.fetch_and_add bc_chain_severs
-           s.Sdt_machine.Block.st_chain_severs)
+let note src kvs =
+  List.iter
+    (fun (_, s, name, a) ->
+      if s = src then
+        Option.iter
+          (fun v -> ignore (Atomic.fetch_and_add a v))
+          (List.assoc_opt name kvs))
+    ledger
+
+let note_machine m =
+  note Machine [ ("instructions", m.Machine.c.Machine.instructions) ];
+  Option.iter (note Block) (Machine.block_stats m)
+
+let counters () = List.map (fun (key, _, _, a) -> (key, Atomic.get a)) ledger
+let counter key = List.assoc key (counters ())
+let simulated_instructions () = counter "instructions"
+
+type block_cache_stats = { decodes : int; invalidations : int; chain_hits : int }
 
 let block_cache_stats () =
   {
-    decodes = Atomic.get bc_decodes;
-    invalidations = Atomic.get bc_invalidations;
-    chain_hits = Atomic.get bc_chain_hits;
-    chain_severs = Atomic.get bc_chain_severs;
-  }
-
-(* Adaptive-mechanism transition activity, accumulated the same way as
-   the block-cache counters (actually-simulated cells only); feeds the
-   bench JSON counters and --perf reporting. *)
-let ad_promotions = Atomic.make 0
-let ad_demotions = Atomic.make 0
-let ad_repatches = Atomic.make 0
-
-type adapt_stats = { promotions : int; demotions : int; repatches : int }
-
-let note_adapt_stats (s : Stats.t) =
-  ignore (Atomic.fetch_and_add ad_promotions s.Stats.adapt_promotions);
-  ignore (Atomic.fetch_and_add ad_demotions s.Stats.adapt_demotions);
-  ignore (Atomic.fetch_and_add ad_repatches s.Stats.adapt_repatches)
-
-let adapt_stats () =
-  {
-    promotions = Atomic.get ad_promotions;
-    demotions = Atomic.get ad_demotions;
-    repatches = Atomic.get ad_repatches;
-  }
-
-(* CFI policy-stage activity, accumulated the same way; all zero when
-   every cell ran with the policy off. *)
-let cf_checks = Atomic.make 0
-let cf_violations = Atomic.make 0
-let cf_xcalls = Atomic.make 0
-
-type cfi_stats = { checks : int; violations : int; xcalls : int }
-
-let note_cfi_stats (s : Stats.t) =
-  ignore (Atomic.fetch_and_add cf_checks s.Stats.cfi_checks);
-  ignore (Atomic.fetch_and_add cf_violations s.Stats.cfi_violations);
-  ignore (Atomic.fetch_and_add cf_xcalls s.Stats.cfi_xcalls)
-
-let cfi_stats () =
-  {
-    checks = Atomic.get cf_checks;
-    violations = Atomic.get cf_violations;
-    xcalls = Atomic.get cf_xcalls;
-  }
-
-(* Instructions actually simulated (cache misses only — memoized cells
-   add nothing), accumulated across pool domains; feeds the bench
-   MIPS figures. *)
-let sim_instrs = Atomic.make 0
-let simulated_instructions () = Atomic.get sim_instrs
-
-(* Serving-layer activity, accumulated over actually-simulated service
-   runs the same way as the block-cache counters; feeds the bench JSON
-   counters and --perf reporting. *)
-let sv_jobs = Atomic.make 0
-let sv_dedup_hits = Atomic.make 0
-let sv_evictions = Atomic.make 0
-let sv_flushes = Atomic.make 0
-
-type serve_stats = {
-  jobs_served : int;
-  dedup_hits : int;
-  evictions : int;
-  service_flushes : int;
-}
-
-let note_serve_stats (r : Serve.report) =
-  ignore (Atomic.fetch_and_add sv_jobs r.Serve.rp_jobs);
-  ignore (Atomic.fetch_and_add sv_dedup_hits r.Serve.rp_dedup_hits);
-  ignore (Atomic.fetch_and_add sv_evictions r.Serve.rp_evictions);
-  ignore (Atomic.fetch_and_add sv_flushes r.Serve.rp_flushes)
-
-let serve_stats () =
-  {
-    jobs_served = Atomic.get sv_jobs;
-    dedup_hits = Atomic.get sv_dedup_hits;
-    evictions = Atomic.get sv_evictions;
-    service_flushes = Atomic.get sv_flushes;
+    decodes = counter "block_decodes";
+    invalidations = counter "block_invalidations";
+    chain_hits = counter "chain_hits";
   }
 
 (* ------------------------------------------------------------------ *)
@@ -231,41 +172,12 @@ let native_of_json doc =
       n_checksum;
     }
 
-let stats_to_json (s : Stats.t) =
-  Jsonw.Obj (List.map (fun (k, v) -> (k, Jsonw.Int v)) (Stats.to_assoc s))
-
-let stats_of_json doc =
-  match doc with
-  | Jsonw.Obj _ ->
-      let s = Stats.create () in
-      let g k =
-        match Jsonw.member k doc with Some (Jsonw.Int v) -> v | _ -> 0
-      in
-      s.Stats.blocks_translated <- g "blocks_translated";
-      s.Stats.insts_translated <- g "insts_translated";
-      s.Stats.links <- g "links";
-      s.Stats.dispatch_entries <- g "dispatch_entries";
-      s.Stats.ibtc_misses_full <- g "ibtc_misses_full";
-      s.Stats.ibtc_misses_fast <- g "ibtc_misses_fast";
-      s.Stats.ibtc_tables <- g "ibtc_tables";
-      s.Stats.sieve_misses <- g "sieve_misses";
-      s.Stats.sieve_stubs <- g "sieve_stubs";
-      s.Stats.retcache_fallbacks <- g "retcache_fallbacks";
-      s.Stats.shadow_fallbacks <- g "shadow_fallbacks";
-      s.Stats.pred_fills <- g "pred_fills";
-      s.Stats.pred_exhausted_sites <- g "pred_exhausted_sites";
-      s.Stats.flushes <- g "flushes";
-      s.Stats.ib_sites <- g "ib_sites";
-      s.Stats.adapt_promotions <- g "adapt_promotions";
-      s.Stats.adapt_demotions <- g "adapt_demotions";
-      s.Stats.adapt_repatches <- g "adapt_repatches";
-      s.Stats.dedup_hits <- g "dedup_hits";
-      s.Stats.service_evictions <- g "service_evictions";
-      s.Stats.cfi_checks <- g "cfi_checks";
-      s.Stats.cfi_validations <- g "cfi_validations";
-      s.Stats.cfi_violations <- g "cfi_violations";
-      s.Stats.cfi_xcalls <- g "cfi_xcalls";
-      Some s
+let counters_of_json = function
+  | Jsonw.Obj kvs ->
+      Some
+        (List.filter_map
+           (function k, Jsonw.Int v -> Some (k, v) | _ -> None)
+           kvs)
   | _ -> None
 
 let sdt_to_json s =
@@ -280,7 +192,7 @@ let sdt_to_json s =
       ("ind_misp", Jsonw.Int s.s_ind_misp);
       ("ras_misp", Jsonw.Int s.s_ras_misp);
       ("code_bytes", Jsonw.Int s.s_code_bytes);
-      ("stats", stats_to_json s.s_stats);
+      ("stats", Jsonw.int_obj (Stats.to_assoc s.s_stats));
       ( "mech",
         Jsonw.List
           (List.map
@@ -301,7 +213,7 @@ let sdt_of_json doc =
   let* s_ind_misp = field "ind_misp" int_of_json in
   let* s_ras_misp = field "ras_misp" int_of_json in
   let* s_code_bytes = field "code_bytes" int_of_json in
-  let* s_stats = field "stats" stats_of_json in
+  let* s_stats = Option.map Stats.of_assoc (field "stats" counters_of_json) in
   let* mech_items =
     match Jsonw.member "mech" doc with Some (Jsonw.List l) -> Some l | _ -> None
   in
@@ -401,6 +313,7 @@ let serve_to_json (r : Serve.report) =
       ("cfi_checks", Jsonw.Int r.Serve.rp_cfi_checks);
       ("cfi_violations", Jsonw.Int r.Serve.rp_cfi_violations);
       ("cfi_elided", Jsonw.Int r.Serve.rp_cfi_elided);
+      ("counters", Jsonw.int_obj r.Serve.rp_counters);
       ("tenants", Jsonw.List (List.map tenant_line_to_json r.Serve.rp_tenants));
     ]
 
@@ -430,6 +343,7 @@ let serve_of_json doc =
   let* rp_cfi_checks = field "cfi_checks" int_of_json in
   let* rp_cfi_violations = field "cfi_violations" int_of_json in
   let* rp_cfi_elided = field "cfi_elided" int_of_json in
+  let* rp_counters = field "counters" counters_of_json in
   let* items =
     match Jsonw.member "tenants" doc with
     | Some (Jsonw.List l) -> Some l
@@ -468,6 +382,7 @@ let serve_of_json doc =
       rp_cfi_checks;
       rp_cfi_violations;
       rp_cfi_elided;
+      rp_counters;
       rp_tenants;
     }
 
@@ -528,8 +443,7 @@ let native ~arch ~key build =
       let timing = Timing.create arch in
       let m = Loader.load ~timing (build ()) in
       Machine.run_mode ~max_steps:!max_steps !exec_mode m;
-      ignore (Atomic.fetch_and_add sim_instrs m.Machine.c.Machine.instructions);
-      note_block_stats m;
+      note_machine m;
       let c = m.Machine.c in
       {
         n_instrs = c.Machine.instructions;
@@ -551,10 +465,8 @@ let sdt ~arch ~cfg ~key build =
       let rt = Runtime.create ~cfg ~arch ~timing (build ()) in
       Runtime.run ~max_steps:!max_steps ~mode:!exec_mode rt;
       let m = Runtime.machine rt in
-      ignore (Atomic.fetch_and_add sim_instrs m.Machine.c.Machine.instructions);
-      note_block_stats m;
-      note_adapt_stats (Runtime.stats rt);
-      note_cfi_stats (Runtime.stats rt);
+      note_machine m;
+      note Stats (Stats.to_assoc (Runtime.stats rt));
       if
         Machine.output m <> nat.n_output
         || m.Machine.checksum <> nat.n_checksum
@@ -593,7 +505,15 @@ let serve spec =
   Memo.find serve_memo fp (fun () ->
       cell_span "serve" ~key:(Serve.describe spec) fp @@ fun () ->
       let res = Serve.run ~mode:!exec_mode spec in
-      ignore (Atomic.fetch_and_add sim_instrs res.Serve.res_instrs);
       let r = Serve.report_of_result res in
-      note_serve_stats r;
+      note Machine [ ("instructions", r.Serve.rp_instrs) ];
+      note Block r.Serve.rp_counters;
+      note Stats r.Serve.rp_counters;
+      note Serve
+        [
+          ("jobs", r.Serve.rp_jobs);
+          ("dedup_hits", r.Serve.rp_dedup_hits);
+          ("evictions", r.Serve.rp_evictions);
+          ("flushes", r.Serve.rp_flushes);
+        ];
       r)

@@ -107,55 +107,36 @@ val get_exec_mode : unit -> Sdt_machine.Machine.mode
 (** The interpreter loop simulated cells currently use, so a caller
     that pins one with {!set_exec_mode} can restore it. *)
 
+val counters : unit -> (string * int) list
+(** The counter ledger: every counter summed over the actually-simulated
+    runs (memoized cells add nothing) since process start, accumulated
+    atomically across pool domains, as [(BENCH JSON key, total)] in the
+    order bench emits them. Each key is declared once in [run.ml] with
+    the layer assoc it is read from:
+    - [instructions]: guest instructions executed (native, SDT and
+      service runs);
+    - [block_decodes], [block_invalidations], [chain_hits]: the
+      machines' {!Sdt_machine.Block.stats} (all zero under [`Step]);
+    - [adapt_promotions], [adapt_demotions], [adapt_repatches],
+      [cfi_checks], [cfi_violations], [cfi_xcalls]: the SDT runs'
+      {!Stats} counters of the same names (service runs contribute
+      their jobs' sums, {!Sdt_serve.Serve.report.rp_counters});
+    - [serve_jobs], [serve_dedup_hits], [serve_evictions],
+      [serve_flushes]: the service reports' [rp_jobs],
+      [rp_dedup_hits], [rp_evictions], [rp_flushes].
+
+    A caller measures a span of work as the per-key difference of two
+    snapshots. *)
+
 val simulated_instructions : unit -> int
-(** Guest instructions executed by actually-simulated runs (memoized
-    cells add nothing) since process start; accumulated atomically
-    across pool domains. Feeds the bench MIPS report. *)
+(** The ledger's [instructions]; feeds the bench MIPS report. *)
 
 type block_cache_stats = {
   decodes : int;  (** blocks compiled, including recompilations *)
   invalidations : int;  (** recompilations forced by a generation bump *)
   chain_hits : int;  (** transitions served by a valid chain link *)
-  chain_severs : int;  (** links found stale and dropped *)
 }
-
-type adapt_stats = {
-  promotions : int;  (** adaptive tier promotions taken *)
-  demotions : int;  (** adaptive tier demotions taken *)
-  repatches : int;  (** emitted exit transfers re-patched *)
-}
-
-val adapt_stats : unit -> adapt_stats
-(** Adaptive-mechanism transition activity summed over every
-    actually-simulated SDT cell (memoized cells add nothing) since
-    process start, accumulated atomically across pool domains. All
-    zero unless some cell ran {!Sdt_core.Config.Adaptive}. *)
-
-type cfi_stats = {
-  checks : int;  (** CFI membership tests run *)
-  violations : int;  (** pad mismatches, audit failures, unmatched returns *)
-  xcalls : int;  (** mediated cross-compartment transfers *)
-}
-
-val cfi_stats : unit -> cfi_stats
-(** CFI policy-stage activity summed over every actually-simulated SDT
-    cell since process start, accumulated atomically across pool
-    domains. All zero when every cell ran [Cfi_none]. *)
 
 val block_cache_stats : unit -> block_cache_stats
-(** Block-cache activity summed over every actually-simulated machine
-    (native and SDT; memoized cells add nothing) since process start,
-    accumulated atomically across pool domains. All zero under
-    [`Step]. *)
-
-type serve_stats = {
-  jobs_served : int;  (** guest jobs completed by service runs *)
-  dedup_hits : int;  (** translations served as cross-tenant copies *)
-  evictions : int;  (** shared-store entries evicted *)
-  service_flushes : int;  (** tenant fragment-cache flushes *)
-}
-
-val serve_stats : unit -> serve_stats
-(** Serving-layer activity summed over every actually-simulated service
-    run (memoized runs add nothing) since process start, accumulated
-    atomically across pool domains. All zero unless {!serve} ran. *)
+(** The ledger's [block_decodes], [block_invalidations] and
+    [chain_hits]. *)

@@ -139,14 +139,6 @@ type cache = {
   mutable decodes : int;
   mutable invalidations : int;
   mutable chain_hits : int;
-  mutable chain_severs : int;
-}
-
-type stats = {
-  st_decodes : int;
-  st_invalidations : int;
-  st_chain_hits : int;
-  st_chain_severs : int;
 }
 
 (* Long enough that typical blocks (a handful of instructions up to a
@@ -171,11 +163,8 @@ let create ~regs ~counters ?timing ?(chain = true) ?(introspect = false)
     decodes = 0;
     invalidations = 0;
     chain_hits = 0;
-    chain_severs = 0;
   }
 
-let decodes c = c.decodes
-let invalidations c = c.invalidations
 let chained c = c.chain
 let introspected c = c.introspect
 let generation c = !(c.gen)
@@ -206,12 +195,11 @@ let[@inline] aborted_ops c = c.abort
 let[@inline] clear_abort c = c.abort <- -1
 
 let stats c =
-  {
-    st_decodes = c.decodes;
-    st_invalidations = c.invalidations;
-    st_chain_hits = c.chain_hits;
-    st_chain_severs = c.chain_severs;
-  }
+  [
+    ("decodes", c.decodes);
+    ("invalidations", c.invalidations);
+    ("chain_hits", c.chain_hits);
+  ]
 
 (* Anything that can redirect the PC, change machine status, or run a
    handler ends a block; everything before it is straight-line. *)
@@ -913,19 +901,20 @@ let find cache pc =
    its start compare, so following a link is observably identical to
    re-probing the cache (and cheaper by the probe). With chaining
    disabled the links are never installed and every transition takes
-   the [find] path, which is the [`Block_nochain] differential mode. *)
-
-let[@inline] sever_if_linked cache = function
-  | None -> ()
-  | Some _ -> cache.chain_severs <- cache.chain_severs + 1
+   the [find] path, which is the [`Block_nochain] differential mode.
+   The [_stale] arms see empty links only: a block runs only while its
+   compilation is current, and [refresh] drops a recompiled block's
+   outgoing links, so every link a running block holds was installed,
+   to a then-current block, under the current generation. The
+   generation test stays because it is what makes the two paths
+   identical. *)
 
 let follow_static cache (s : static_link) =
   match s.s_link with
   | Some b when b.gen = !(cache.gen) ->
       cache.chain_hits <- cache.chain_hits + 1;
       b
-  | stale ->
-      sever_if_linked cache stale;
+  | _stale ->
       let b = find cache s.s_target in
       if cache.chain then s.s_link <- b.self;
       b
@@ -936,8 +925,7 @@ let follow_cond cache (cd : cond_link) taken =
     | Some b when b.gen = !(cache.gen) ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
-    | stale ->
-        sever_if_linked cache stale;
+    | _stale ->
         let b = find cache cd.c_taken in
         if cache.chain then cd.c_tlink <- b.self;
         b
@@ -946,8 +934,7 @@ let follow_cond cache (cd : cond_link) taken =
     | Some b when b.gen = !(cache.gen) ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
-    | stale ->
-        sever_if_linked cache stale;
+    | _stale ->
         let b = find cache cd.c_fall in
         if cache.chain then cd.c_flink <- b.self;
         b
@@ -976,8 +963,7 @@ let follow_indirect cache (ind : ind_link) target =
     | Some b when b.gen = !(cache.gen) ->
         cache.chain_hits <- cache.chain_hits + 1;
         b
-    | stale ->
-        sever_if_linked cache stale;
+    | _stale ->
         let b = find cache target in
         if cacheable cache target then ind.i_l0 <- b.self;
         b
@@ -990,8 +976,7 @@ let follow_indirect cache (ind : ind_link) target =
         ind.i_pc0 <- target;
         ind.i_l0 <- l1;
         b
-    | stale ->
-        sever_if_linked cache stale;
+    | _stale ->
         let b = find cache target in
         if cacheable cache target then begin
           ind.i_pc1 <- ind.i_pc0;

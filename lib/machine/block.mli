@@ -165,21 +165,13 @@ val follow_indirect : cache -> ind_link -> int -> t
 
 (** {1 Statistics} *)
 
-val decodes : cache -> int
-(** Blocks compiled (including recompilations). *)
-
-val invalidations : cache -> int
-(** Recompilations forced by a code-generation bump. *)
-
-type stats = {
-  st_decodes : int;
-  st_invalidations : int;
-  st_chain_hits : int;  (** transitions served by a valid chain link *)
-  st_chain_severs : int;
-      (** links found stale (generation bumped) and dropped *)
-}
-
-val stats : cache -> stats
+val stats : cache -> (string * int) list
+(** The block-cache counters as [(name, value)] — the one place their
+    names are defined; every sink ([--stats], [--stats-json],
+    [introspect.json], the harness ledger) iterates it:
+    - [decodes]: blocks compiled, including recompilations;
+    - [invalidations]: recompilations forced by a code-generation bump;
+    - [chain_hits]: transitions served by a valid chain link. *)
 
 (** {1 Introspection} — meaningful under [~introspect:true] *)
 

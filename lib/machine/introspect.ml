@@ -205,7 +205,6 @@ let site_json ?(site_mech = fun _ -> None) ?cfi (s : Block.isite) =
     @ mech_fields @ cfi_fields)
 
 let to_json ?site_mech ?cfi cache =
-  let st = Block.stats cache in
   let depths = chain_depths cache in
   let depth_of = Hashtbl.create 256 in
   List.iter
@@ -250,14 +249,7 @@ let to_json ?site_mech ?cfi cache =
       ("generation", Jsonw.Int gen);
       ("chained", Jsonw.Bool (Block.chained cache));
       ("introspect", Jsonw.Bool (Block.introspected cache));
-      ( "stats",
-        Jsonw.Obj
-          [
-            ("decodes", Jsonw.Int st.Block.st_decodes);
-            ("invalidations", Jsonw.Int st.Block.st_invalidations);
-            ("chain_hits", Jsonw.Int st.Block.st_chain_hits);
-            ("chain_severs", Jsonw.Int st.Block.st_chain_severs);
-          ] );
+      ("stats", Jsonw.int_obj (Block.stats cache));
       ("resident_blocks", Jsonw.Int (List.length depths));
       ("block_length", histo_json (block_length_histo cache));
       ("chain_depth", histo_json (chain_depth_histo cache));

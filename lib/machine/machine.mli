@@ -119,8 +119,9 @@ val mode_of_string : string -> (mode, string) result
 val run_mode : ?max_steps:int -> mode -> t -> unit
 (** Run to exit in the given mode. *)
 
-val block_stats : t -> Block.stats option
-(** Block-cache statistics, if {!run_blocks} has run on this machine. *)
+val block_stats : t -> (string * int) list option
+(** Block-cache counters ({!Block.stats}), if {!run_blocks} has run on
+    this machine. *)
 
 val set_block_introspect : t -> bool -> unit
 (** Request per-IB-site introspection ({!Block.ind_sites}) from the

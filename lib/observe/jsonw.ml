@@ -232,5 +232,7 @@ let of_string s =
       if p.pos <> String.length s then Error "trailing garbage" else Ok v
   | exception Parse_error msg -> Error msg
 
+let int_obj kvs = Obj (List.map (fun (k, v) -> (k, Int v)) kvs)
+
 (* Obj member access for cache readers *)
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

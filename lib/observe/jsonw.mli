@@ -27,5 +27,8 @@ val of_string : string -> (t, string) result
     Numbers containing ['.'], ['e'] or ['E'] parse as [Float], others
     as [Int]; [\uXXXX] escapes decode to UTF-8. *)
 
+val int_obj : (string * int) list -> t
+(** An object of integer members, e.g. a counter assoc. *)
+
 val member : string -> t -> t option
 (** [member k (Obj kvs)] looks up [k]; [None] on other constructors. *)

@@ -169,6 +169,7 @@ type result = {
   res_evictions : int;
   res_evicted_bytes : int;
   res_rejects : int;
+  res_counters : (string * int) list;
   res_registry : Registry.t;
 }
 
@@ -203,6 +204,15 @@ type active = {
 }
 
 let cks_fold acc c = ((acc * 1_000_003) + c) land max_int
+
+(* Sum two counter assocs by name, keeping first-seen order. *)
+let add_counters acc kvs =
+  List.fold_left
+    (fun acc (k, v) ->
+      if List.mem_assoc k acc then
+        List.map (fun (k', x) -> (k', if k' = k then x + v else x)) acc
+      else acc @ [ (k, v) ])
+    acc kvs
 
 let run ?pool ?(mode = `Block) s =
   let store =
@@ -452,6 +462,7 @@ let run ?pool ?(mode = `Block) s =
             go ())
   in
   let finished = ref [] in
+  let counters = ref [] in
   let dedup_insts = ref 0 in
   let tick = ref 0 in
   let makespan = ref 0 in
@@ -561,6 +572,10 @@ let run ?pool ?(mode = `Block) s =
               Registry.add cfi_checks_of.(j.a_tenant) cfi_checks;
               Registry.add cfi_viol_of.(j.a_tenant) cfi_violations;
               Registry.add cfi_elided_of.(j.a_tenant) cfi_elided;
+              counters :=
+                add_counters !counters
+                  (Option.value ~default:[] (Machine.block_stats m)
+                  @ Stats.to_assoc stats);
               finished :=
                 {
                   jr_tenant = tname j.a_tenant;
@@ -615,6 +630,7 @@ let run ?pool ?(mode = `Block) s =
     res_evictions = Store.evictions store;
     res_evicted_bytes = Store.evicted_bytes store;
     res_rejects = Store.rejects store;
+    res_counters = !counters;
     res_registry = reg;
   }
 
@@ -671,6 +687,7 @@ type report = {
   rp_cfi_checks : int;
   rp_cfi_violations : int;
   rp_cfi_elided : int;
+  rp_counters : (string * int) list;
   rp_tenants : tenant_line list;
 }
 
@@ -737,5 +754,6 @@ let report_of_result res =
     rp_cfi_violations =
       List.fold_left (fun a t -> a + t.tl_cfi_violations) 0 tenants;
     rp_cfi_elided = List.fold_left (fun a t -> a + t.tl_cfi_elided) 0 tenants;
+    rp_counters = res.res_counters;
     rp_tenants = tenants;
   }

@@ -167,6 +167,10 @@ type result = {
   res_evictions : int;
   res_evicted_bytes : int;
   res_rejects : int;
+  res_counters : (string * int) list;
+      (** summed over jobs: each job machine's block-cache counters
+          ({!Sdt_machine.Block.stats}; none under [`Step]) followed by
+          its translator counters ({!Sdt_core.Stats.to_assoc}) *)
   res_registry : Registry.t;
       (** per-tenant labeled instruments: [serve.latency_cycles]
           histograms (overall + one per tenant), [serve.jobs],
@@ -233,6 +237,7 @@ type report = {
   rp_cfi_checks : int;
   rp_cfi_violations : int;
   rp_cfi_elided : int;
+  rp_counters : (string * int) list;  (** [res_counters] *)
   rp_tenants : tenant_line list;
 }
 

@@ -437,9 +437,11 @@ let qcheck_adaptive_differential =
    loop every iteration (XOR with the difference of two encodings), so
    every pass both aborts the current block mid-body (the store
    patches ahead of itself) and bumps the generation under the loop's
-   already-forged back-edge link — chain severing on every iteration.
-   All three modes must agree, and the output must prove the patches
-   actually executed (alternating +2/+1). *)
+   already-forged back-edge link. The abort re-enters through the cache
+   probe, which recompiles the stale block and drops its links, so every
+   iteration pays an invalidation. All three modes must agree, and the
+   output must prove the patches actually executed (alternating
+   +2/+1). *)
 
 let smc_toggle_program iters =
   let enc_a = Encode.inst (Inst.Addi (Reg.a0, Reg.a0, 1)) in
@@ -595,7 +597,7 @@ let decode_count program ~chain =
   check string "collision output" (string_of_int (3 * collision_iters))
     (Machine.output m);
   match Machine.block_stats m with
-  | Some s -> s.Block.st_decodes
+  | Some s -> List.assoc "decodes" s
   | None -> Alcotest.fail "block cache missing after run_blocks"
 
 let test_collision_decode_ceiling () =

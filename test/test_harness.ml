@@ -3,7 +3,13 @@
    the fast size. *)
 
 module Arch = Sdt_march.Arch
+module Timing = Sdt_march.Timing
+module Machine = Sdt_machine.Machine
 module Config = Sdt_core.Config
+module Stats = Sdt_core.Stats
+module Runtime = Sdt_core.Runtime
+module Synthetic = Sdt_workloads.Synthetic
+module Serve = Sdt_serve.Serve
 module Suite = Sdt_workloads.Suite
 module Run = Sdt_harness.Run
 module Summary = Sdt_harness.Summary
@@ -440,6 +446,117 @@ let test_meta_provenance () =
       check bool "unix_time present" true (List.mem_assoc "unix_time" fields)
   | _ -> Alcotest.fail "meta json shape"
 
+(* ------------------------------------------------------------------ *)
+(* Counter ledger *)
+
+let stat_names = List.map fst (Stats.to_assoc (Stats.create ()))
+
+let prop_stats_assoc_roundtrip =
+  QCheck.Test.make ~count:200 ~name:"Stats.of_assoc inverts to_assoc"
+    QCheck.(list_of_size (Gen.return (List.length stat_names)) int)
+    (fun vs ->
+      let kvs = List.combine stat_names vs in
+      let s = Stats.of_assoc kvs in
+      let v name = List.assoc name kvs in
+      Stats.to_assoc s = kvs
+      && Stats.to_assoc (Stats.of_assoc (Stats.to_assoc s)) = kvs
+      (* the table binds each name to its own field *)
+      && s.Stats.blocks_translated = v "blocks_translated"
+      && s.Stats.adapt_repatches = v "adapt_repatches"
+      && s.Stats.cfi_xcalls = v "cfi_xcalls"
+      && Stats.total_ib_misses s
+         = v "dispatch_entries" + v "ibtc_misses_full" + v "ibtc_misses_fast"
+           + v "sieve_misses" + v "retcache_fallbacks" + v "shadow_fallbacks"
+      && (Stats.reset s;
+          List.for_all (fun (_, n) -> n = 0) (Stats.to_assoc s)))
+
+let ledger_delta f =
+  let c0 = Run.counters () in
+  let x = f () in
+  (x, List.map2 (fun (k, v1) (_, v0) -> (k, v1 - v0)) (Run.counters ()) c0)
+
+let get kvs k = Option.value ~default:0 (List.assoc_opt k kvs)
+let all_zero kvs = List.for_all (fun (_, v) -> v = 0) kvs
+
+(* One SDT cell adds exactly what its machine and translator counted —
+   checked against the same cell run outside the harness — and a memo
+   hit of it adds nothing. *)
+let test_ledger_sdt_cell () =
+  Run.clear_cache ();
+  let arch = Arch.arch_a in
+  let cfg =
+    {
+      Config.default with
+      Config.mech = Config.Adaptive Config.default_adaptive;
+      cfi = Config.Cfi_landing_pad;
+    }
+  in
+  let build () = Suite.program (entry "perlbmk") `Test in
+  let key = "ledger:perlbmk" in
+  ignore (Run.native ~arch ~key build);
+  let _, delta = ledger_delta (fun () -> Run.sdt ~arch ~cfg ~key build) in
+  let rt = Runtime.create ~cfg ~arch ~timing:(Timing.create arch) (build ()) in
+  Runtime.run ~mode:(Run.get_exec_mode ()) rt;
+  let m = Runtime.machine rt in
+  let block = Option.value ~default:[] (Machine.block_stats m) in
+  let stats = Stats.to_assoc (Runtime.stats rt) in
+  let expected =
+    [
+      ("instructions", m.Machine.c.Machine.instructions);
+      ("block_decodes", get block "decodes");
+      ("block_invalidations", get block "invalidations");
+      ("chain_hits", get block "chain_hits");
+      ("adapt_promotions", get stats "adapt_promotions");
+      ("adapt_demotions", get stats "adapt_demotions");
+      ("adapt_repatches", get stats "adapt_repatches");
+      ("cfi_checks", get stats "cfi_checks");
+      ("cfi_violations", get stats "cfi_violations");
+      ("cfi_xcalls", get stats "cfi_xcalls");
+      ("serve_jobs", 0);
+      ("serve_dedup_hits", 0);
+      ("serve_evictions", 0);
+      ("serve_flushes", 0);
+    ]
+  in
+  check Alcotest.(list (pair string int)) "cell delta" expected delta;
+  check bool "adaptive promoted" true (get stats "adapt_promotions" > 0);
+  check bool "cfi checked" true (get stats "cfi_checks" > 0);
+  let _, again = ledger_delta (fun () -> Run.sdt ~arch ~cfg ~key build) in
+  check bool "memo hit adds nothing" true (all_zero again)
+
+(* A service run reaches the ledger with its jobs' machine and
+   translator counters, not just its own serving totals. *)
+let test_ledger_serve () =
+  let mode = Run.get_exec_mode () in
+  Run.set_exec_mode `Block;
+  Fun.protect ~finally:(fun () -> Run.set_exec_mode mode) @@ fun () ->
+  Run.clear_cache ();
+  let micro seed =
+    Serve.Micro
+      {
+        Synthetic.ib_sites = 3;
+        targets = 6;
+        fns = 2;
+        recursion_depth = 1;
+        iters = 400;
+        seed;
+      }
+  in
+  let spec =
+    Serve.spec ~quantum:10_000 ~servers:1
+      ~cfg:{ Config.default with Config.cfi = Config.Cfi_landing_pad }
+      [ Serve.tenant ~jobs:2 "alpha" (micro 7); Serve.tenant "beta" (micro 8) ]
+  in
+  let r, delta = ledger_delta (fun () -> Run.serve spec) in
+  check bool "block decodes" true (get delta "block_decodes" > 0);
+  check bool "chain hits" true (get delta "chain_hits" > 0);
+  check bool "cfi checks paid" true (r.Serve.rp_cfi_checks > 0);
+  check int "cfi checks" r.Serve.rp_cfi_checks (get delta "cfi_checks");
+  check int "instructions" r.Serve.rp_instrs (get delta "instructions");
+  check int "jobs" 3 (get delta "serve_jobs");
+  let _, again = ledger_delta (fun () -> Run.serve spec) in
+  check bool "memo hit adds nothing" true (all_zero again)
+
 let test_baseline_worse_than_default () =
   Run.clear_cache ();
   let worse = ref 0 in
@@ -474,6 +591,14 @@ let () =
           Alcotest.test_case "native memoised" `Quick test_native_memoised;
           Alcotest.test_case "sdt results sane" `Quick test_sdt_result_sane;
           Alcotest.test_case "divergence detected" `Quick test_mismatch_detected;
+        ] );
+      ( "ledger",
+        [
+          qt prop_stats_assoc_roundtrip;
+          Alcotest.test_case "sdt cell adds its counters once" `Quick
+            test_ledger_sdt_cell;
+          Alcotest.test_case "serve run reaches the ledger" `Quick
+            test_ledger_serve;
         ] );
       ( "perf gate",
         [
