@@ -649,14 +649,6 @@ let run_bechamel exps =
   print_newline ()
 
 let () =
-  (* A grid run churns through hundreds of machines, each allocating
-     megabytes of block closures and decode chunks that die with the
-     cell: the default 256k-word minor heap forces constant minor
-     collections and promotions. 8M words (64 MB) lets a cell's
-     short-lived garbage die young — measured ~10% off the cold-serial
-     full grid on the reference container; set before any domain
-     spawns so workers inherit it. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 8 * 1024 * 1024 };
   let o = parse_args () in
   let exps = selected o.only in
   Run.set_exec_mode o.exec_mode;

@@ -1,6 +1,7 @@
 (** Byte-addressable simulated memory with a decoded-instruction cache.
 
-    Memory is flat, little-endian, and shared by application code, data,
+    Memory is lazily paged; unwritten pages read as zero and cost
+    nothing. It is little-endian and shared by application code, data,
     stack, and the translator's fragment cache and tables — the SDT
     emits code by storing words here, and the CPU executes it from here.
 

@@ -4,6 +4,7 @@
 module Word = Sdt_isa.Word
 module Reg = Sdt_isa.Reg
 module Inst = Sdt_isa.Inst
+module Decode = Sdt_isa.Decode
 module Encode = Sdt_isa.Encode
 module Builder = Sdt_isa.Builder
 module Assembler = Sdt_isa.Assembler
@@ -13,6 +14,7 @@ module Memory = Sdt_machine.Memory
 module Machine = Sdt_machine.Machine
 module Syscall = Sdt_machine.Syscall
 module Loader = Sdt_machine.Loader
+module Suite = Sdt_workloads.Suite
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -69,6 +71,261 @@ let test_memory_read_string () =
     (match Memory.read_string m 0x400 with
     | exception Memory.Fault _ -> true
     | _ -> false)
+
+(* An empty bulk write stores nothing, so it must not drop a cached
+   decoding or bump the generation — a spurious bump stales every
+   decoded block. *)
+let test_memory_empty_write_bytes () =
+  let m = Memory.create ~size_bytes:4096 in
+  Memory.store_word m 0x200 (Encode.inst (Inst.Addi (Reg.t0, Reg.zero, 7)));
+  ignore (Memory.fetch m 0x200);
+  let gen = Memory.code_gen m in
+  List.iter (fun a -> Memory.write_bytes m a Bytes.empty) [ 0x200; 0x201; 0x203 ];
+  check int "no bump" gen (Memory.code_gen m);
+  Memory.write_bytes m 0x203 (Bytes.make 1 '\000');
+  check int "one-byte write bumps" (gen + 1) (Memory.code_gen m)
+
+(* Differential: the paged memory against a flat [Bytes] reference
+   over random operation sequences aimed at page edges (pages are
+   4 KiB). Values, fault kinds and addresses, the decode cache and the
+   code generation must all agree. The reference invalidates a word's
+   decoding on any store into it and counts a bump only when the word
+   had been fetched. *)
+type mem_op =
+  | Load_word of int
+  | Store_word of int * int
+  | Load_byte_u of int
+  | Load_byte_s of int
+  | Store_byte of int * int
+  | Fetch of int
+  | Write_bytes of int * string
+  | Digest of int * int
+  | Read_string of int
+
+type mem_outcome = Val of int | Ins of Inst.t | Str of string | Done | Faulted of int * string
+
+let diff_page = 4096
+let diff_size_bytes = (3 * diff_page) + 0x41 (* a partial fourth page, rounded up to 4 *)
+
+let string_of_mem_op op =
+  let hex a = if a < 0 then Printf.sprintf "-%#x" (-a) else Printf.sprintf "%#x" a in
+  match op with
+  | Load_word a -> "lw " ^ hex a
+  | Store_word (a, w) -> Printf.sprintf "sw %s %#x" (hex a) w
+  | Load_byte_u a -> "lbu " ^ hex a
+  | Load_byte_s a -> "lb " ^ hex a
+  | Store_byte (a, v) -> Printf.sprintf "sb %s %#x" (hex a) v
+  | Fetch a -> "fetch " ^ hex a
+  | Write_bytes (a, s) -> Printf.sprintf "write %s len=%d" (hex a) (String.length s)
+  | Digest (lo, len) -> Printf.sprintf "digest %s len=%d" (hex lo) len
+  | Read_string a -> "str " ^ hex a
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  let size = (diff_size_bytes + 3) land lnot 3 in
+  let addr =
+    frequency
+      [
+        (6, map2 (fun k d -> (k * diff_page) + d) (0 -- 4) (-8 -- 8));
+        (2, 0 -- (size - 1));
+        (1, -16 -- -1);
+        (1, size -- (size + 16));
+      ]
+  in
+  let word_addr = frequency [ (4, map (fun a -> a land lnot 3) addr); (1, addr) ] in
+  let word = map2 (fun hi lo -> (hi lsl 16) lor lo) (0 -- 0xFFFF) (0 -- 0xFFFF) in
+  let len =
+    frequency
+      [ (1, return 0); (3, 1 -- 8); (2, (diff_page - 8) -- ((2 * diff_page) + 8)) ]
+  in
+  let ascii = map Char.chr (frequency [ (8, 0x61 -- 0x7A); (1, return 0) ]) in
+  let data n = oneof [ string_size ~gen:char (return n); string_size ~gen:ascii (return n) ] in
+  let op =
+    frequency
+      [
+        (3, map (fun a -> Load_word a) word_addr);
+        (3, map2 (fun a w -> Store_word (a, w)) word_addr word);
+        (2, map (fun a -> Load_byte_u a) addr);
+        (1, map (fun a -> Load_byte_s a) addr);
+        (2, map2 (fun a v -> Store_byte (a, v)) addr (0 -- 0x1FF));
+        (3, map (fun a -> Fetch a) word_addr);
+        (2, addr >>= fun a -> len >>= fun n -> map (fun s -> Write_bytes (a, s)) (data n));
+        (1, map2 (fun lo n -> Digest (lo, n)) addr len);
+        (1, map (fun a -> Read_string a) addr);
+      ]
+  in
+  list_size (1 -- 60) op
+
+(* the flat reference model *)
+type flat = { fb : Bytes.t; fetched : bool array; mutable gen : int }
+
+let flat_fault addr kind = raise (Memory.Fault { addr; kind })
+
+let flat_word f a kind =
+  if a land 3 <> 0 then flat_fault a "align";
+  if a < 0 || a + 4 > Bytes.length f.fb then flat_fault a kind
+
+let flat_byte f a kind = if a < 0 || a >= Bytes.length f.fb then flat_fault a kind
+
+let flat_le32 f a =
+  Char.code (Bytes.get f.fb a)
+  lor (Char.code (Bytes.get f.fb (a + 1)) lsl 8)
+  lor (Char.code (Bytes.get f.fb (a + 2)) lsl 16)
+  lor (Char.code (Bytes.get f.fb (a + 3)) lsl 24)
+
+let flat_stored f widx =
+  if f.fetched.(widx) then begin
+    f.fetched.(widx) <- false;
+    f.gen <- f.gen + 1
+  end
+
+let flat_apply f = function
+  | Load_word a ->
+      flat_word f a "load";
+      Val (flat_le32 f a)
+  | Store_word (a, w) ->
+      flat_word f a "store";
+      for i = 0 to 3 do
+        Bytes.set f.fb (a + i) (Char.chr ((w lsr (8 * i)) land 0xFF))
+      done;
+      flat_stored f (a lsr 2);
+      Done
+  | Load_byte_u a ->
+      flat_byte f a "load";
+      Val (Char.code (Bytes.get f.fb a))
+  | Load_byte_s a ->
+      flat_byte f a "load";
+      Val (Word.sext8 (Char.code (Bytes.get f.fb a)))
+  | Store_byte (a, v) ->
+      flat_byte f a "store";
+      Bytes.set f.fb a (Char.chr (v land 0xFF));
+      flat_stored f (a lsr 2);
+      Done
+  | Fetch a ->
+      flat_word f a "fetch";
+      f.fetched.(a lsr 2) <- true;
+      Ins (Decode.inst (flat_le32 f a))
+  | Write_bytes (a, s) ->
+      let n = String.length s in
+      if a < 0 || a + n > Bytes.length f.fb then flat_fault a "store";
+      Bytes.blit_string s 0 f.fb a n;
+      for i = a lsr 2 to ((a + n + 3) lsr 2) - 1 do
+        if n > 0 then flat_stored f i
+      done;
+      Done
+  | Digest (lo, len) ->
+      if lo < 0 || len < 0 || lo + len > Bytes.length f.fb then flat_fault lo "digest";
+      let prime = 0x100000001B3 in
+      let h = ref 0x4CB2F29CE484222 in
+      for i = 0 to (len lsr 2) - 1 do
+        h := (!h lxor flat_le32 f (lo + (i * 4))) * prime land max_int
+      done;
+      for i = len land lnot 3 to len - 1 do
+        h := (!h lxor Char.code (Bytes.get f.fb (lo + i))) * prime land max_int
+      done;
+      Val !h
+  | Read_string a ->
+      let buf = Buffer.create 16 in
+      let rec go a =
+        flat_byte f a "load";
+        let c = Char.code (Bytes.get f.fb a) in
+        if c <> 0 then begin
+          if c >= 0x80 then flat_fault a "string";
+          Buffer.add_char buf (Char.chr c);
+          go (a + 1)
+        end
+      in
+      go a;
+      Str (Buffer.contents buf)
+
+let paged_apply m = function
+  | Load_word a -> Val (Memory.load_word m a)
+  | Store_word (a, w) -> Memory.store_word m a w; Done
+  | Load_byte_u a -> Val (Memory.load_byte_u m a)
+  | Load_byte_s a -> Val (Memory.load_byte_s m a)
+  | Store_byte (a, v) -> Memory.store_byte m a v; Done
+  | Fetch a -> Ins (Memory.fetch m a)
+  | Write_bytes (a, s) -> Memory.write_bytes m a (Bytes.of_string s); Done
+  | Digest (lo, len) -> Val (Memory.digest_range m ~lo ~len)
+  | Read_string a -> Str (Memory.read_string m a)
+
+let outcome apply x op =
+  try apply x op with Memory.Fault { addr; kind } -> Faulted (addr, kind)
+
+let qcheck_paged_vs_flat =
+  let arb =
+    QCheck.make
+      ~print:(fun ops -> String.concat "; " (List.map string_of_mem_op ops))
+      gen_mem_ops
+  in
+  QCheck.Test.make ~count:500 ~name:"paged memory matches a flat reference" arb
+    (fun ops ->
+      let m = Memory.create ~size_bytes:diff_size_bytes in
+      let size = Memory.size m in
+      if size <> (diff_size_bytes + 3) land lnot 3 then
+        QCheck.Test.fail_reportf "size %d" size;
+      let f =
+        { fb = Bytes.make size '\000'; fetched = Array.make (size / 4) false;
+          gen = Memory.code_gen m }
+      in
+      List.iteri
+        (fun i op ->
+          let want = outcome flat_apply f op and got = outcome paged_apply m op in
+          if want <> got then
+            QCheck.Test.fail_reportf "op %d (%s) differs" i (string_of_mem_op op);
+          if Memory.code_gen m <> f.gen then
+            QCheck.Test.fail_reportf "op %d (%s): code_gen %d, reference %d" i
+              (string_of_mem_op op) (Memory.code_gen m) f.gen)
+        ops;
+      (* no store may reach the page every fresh memory shares *)
+      let fresh = Memory.create ~size_bytes:diff_size_bytes in
+      for a = 0 to (size / 4) - 1 do
+        if Memory.load_word fresh (a * 4) <> 0 then
+          QCheck.Test.fail_reportf "fresh memory word %#x is nonzero" (a * 4)
+      done;
+      true)
+
+(* The allocation gate, the deterministic proxy for load cost: a
+   machine's memory is paged, so loading a test-size workload into the
+   default 10 MiB map allocates only the pages its segments cover, not
+   the whole map. *)
+let test_load_allocation () =
+  List.iter
+    (fun (e : Suite.entry) ->
+      let p = Suite.program e `Test in
+      ignore (Loader.load p);
+      (* an empty minor heap: no collection runs inside the window *)
+      Gc.minor ();
+      let b0 = Gc.allocated_bytes () in
+      ignore (Sys.opaque_identity (Loader.load ~mem_size:Loader.default_mem_size p));
+      let bytes = Gc.allocated_bytes () -. b0 in
+      if bytes >= 1048576. then
+        Alcotest.failf "%s: Loader.load allocated %.0f bytes" e.Suite.name bytes)
+    Suite.all
+
+(* A load from a page no store has touched reads zero and allocates
+   nothing, minor or major: it reads through the shared zero page
+   instead of materialising one. The harness's own allocation is
+   measured with an empty body and subtracted. *)
+let test_unwritten_load_allocation () =
+  let m = Memory.create ~size_bytes:Loader.default_mem_size in
+  let acc = ref 0 in
+  let loads () =
+    for i = 0 to 9_999 do
+      let a = (i * 1028) land (Loader.default_mem_size - 4) in
+      acc := !acc lor Memory.load_word m a lor Memory.load_byte_u m (a + 1)
+    done
+  in
+  let allocated f =
+    Gc.minor ();
+    let b0 = Gc.allocated_bytes () in
+    f ();
+    Gc.allocated_bytes () -. b0
+  in
+  let base = allocated (fun () -> ()) in
+  let used = allocated loads in
+  check int "reads zero" 0 !acc;
+  check int "bytes allocated" 0 (int_of_float (used -. base))
 
 (* ------------------------------------------------------------------ *)
 (* Syscall *)
@@ -418,6 +675,11 @@ let () =
           Alcotest.test_case "decode cache invalidation" `Quick
             test_memory_decode_cache_invalidation;
           Alcotest.test_case "strings" `Quick test_memory_read_string;
+          Alcotest.test_case "empty write_bytes" `Quick test_memory_empty_write_bytes;
+          QCheck_alcotest.to_alcotest qcheck_paged_vs_flat;
+          Alcotest.test_case "load allocation" `Quick test_load_allocation;
+          Alcotest.test_case "unwritten load allocation" `Quick
+            test_unwritten_load_allocation;
         ] );
       ("syscall", [ Alcotest.test_case "checksum mix" `Quick test_checksum_mix ]);
       ( "machine",
