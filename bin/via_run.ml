@@ -401,7 +401,7 @@ let run_serve tenants size arch cfg exec_mode exec_mode_name policy_name bound
 
 let run file workload size_name native arch_name mech ibtc_entries
     sieve_buckets inline miss_policy returns pred no_link traces ways
-    profile_ib shepherd cfi_name show_stats trace_steps dump_frags max_steps
+    profile_ib cfi_name show_stats trace_steps dump_frags max_steps
     trace_file
     metrics_file profile sample_interval exec_mode_name introspect_dir
     stats_json serve_tenants serve_policy serve_bound serve_budget no_dedup
@@ -438,21 +438,29 @@ let run file workload size_name native arch_name mech ibtc_entries
             Printf.eprintf "--cfi: %s\n" msg;
             exit 2)
   in
+  let cfg =
+    {
+      Config.default with
+      mech = mechanism_of mech ibtc_entries sieve_buckets inline miss_policy ways;
+      returns = returns_of returns;
+      pred_depth = pred;
+      link_direct = not no_link;
+      follow_direct_jumps = traces;
+      profile_ib_sites = profile_ib;
+      cfi;
+    }
+  in
+  (match Config.validate cfg with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "invalid configuration: %s\n" msg;
+      exit 2);
   match serve_tenants with
   | Some tenants ->
-      let cfg =
-        {
-          Config.default with
-          mech =
-            mechanism_of mech ibtc_entries sieve_buckets inline miss_policy
-              ways;
-          returns = returns_of returns;
-          pred_depth = pred;
-          link_direct = not no_link;
-          follow_direct_jumps = traces;
-          cfi;
-        }
-      in
+      if profile_ib then begin
+        prerr_endline "--profile-ib: the serve report has no per-site profile";
+        exit 2
+      end;
       run_serve tenants size arch cfg exec_mode exec_mode_name serve_policy
         serve_bound serve_budget no_dedup serve_quantum serve_servers
         serve_schedule show_stats stats_json
@@ -519,24 +527,6 @@ let run file workload size_name native arch_name mech ibtc_entries
     0
   end
   else begin
-    let cfg =
-      {
-        Config.default with
-        mech = mechanism_of mech ibtc_entries sieve_buckets inline miss_policy ways;
-        returns = returns_of returns;
-        pred_depth = pred;
-        link_direct = not no_link;
-        follow_direct_jumps = traces;
-        profile_ib_sites = profile_ib;
-        shepherd;
-        cfi;
-      }
-    in
-    (match Config.validate cfg with
-    | Ok () -> ()
-    | Error msg ->
-        Printf.eprintf "invalid configuration: %s\n" msg;
-        exit 2);
     let tracer = Option.map (fun _ -> Trace.create ()) trace_file in
     let metrics = Option.map (fun _ -> Metrics.create ()) metrics_file in
     let prof = if profile then Some (Profile.create ()) else None in
@@ -560,11 +550,7 @@ let run file workload size_name native arch_name mech ibtc_entries
     (try
        traced (Runtime.machine rt);
        Runtime.run ~max_steps ~mode:exec_mode rt
-     with
-    | Runtime.Policy_violation { target } ->
-        Printf.printf "POLICY VIOLATION: control transfer to %#x blocked\n"
-          target
-    | Cfi.Violation { site_pc; target } ->
+     with Cfi.Violation { site_pc; target } ->
         Printf.printf
           "CFI VIOLATION: transfer%s to %#x failed the %s policy check\n"
           (if site_pc <> 0 then Printf.sprintf " from %#x" site_pc else "")
@@ -580,15 +566,12 @@ let run file workload size_name native arch_name mech ibtc_entries
     print_block_stats m;
     (if cfg.Config.cfi <> Config.Cfi_none then
        let s = Runtime.stats rt in
-       let elided =
-         max 0 (Machine.ib_dynamic_count m - s.Stats.cfi_checks)
-       in
        Printf.printf
          "cfi (%s):      %d checks (%d first-use), %d violations, %d \
           xcalls, %d elided on hit paths\n"
          (Config.cfi_name cfg.Config.cfi)
          s.Stats.cfi_checks s.Stats.cfi_validations s.Stats.cfi_violations
-         s.Stats.cfi_xcalls elided);
+         s.Stats.cfi_xcalls (Runtime.cfi_elided rt));
     Printf.printf "checksum:      0x%08x\n" m.Machine.checksum;
     Printf.printf "exit code:     %s\n"
       (match Machine.exit_code m with Some c -> string_of_int c | None -> "-");
@@ -768,11 +751,7 @@ let run file workload size_name native arch_name mech ibtc_entries
                             ("validations", Jsonw.Int s.Stats.cfi_validations);
                             ("violations", Jsonw.Int s.Stats.cfi_violations);
                             ("xcalls", Jsonw.Int s.Stats.cfi_xcalls);
-                            ( "elided",
-                              Jsonw.Int
-                                (max 0
-                                   (Machine.ib_dynamic_count m
-                                   - s.Stats.cfi_checks)) );
+                            ("elided", Jsonw.Int (Runtime.cfi_elided rt));
                           ]
                          @ List.map
                              (fun (k, v) -> (k, Jsonw.Int v))
@@ -847,14 +826,12 @@ let profile_ib =
   Arg.(value & flag & info [ "profile-ib" ]
        ~doc:"Instrument every IB site with an execution counter and print the hottest sites.")
 
-let shepherd =
-  Arg.(value & flag & info [ "shepherd" ]
-       ~doc:"Enforce a control-flow policy: transfers may only enter the text segment.")
-
 let cfi_name =
   Arg.(value & opt (some string) None & info [ "cfi" ] ~docv:"POLICY"
-       ~doc:"CFI enforcement policy layered over the IB mechanism: none, \
-             landing_pad (per-fragment entry pads, checks elided on \
+       ~doc:"Control-transfer enforcement policy layered over the IB \
+             mechanism: none, shepherd (program shepherding: translator \
+             lookups may only enter the text segment; free in steady \
+             state), landing_pad (per-fragment entry pads, checks elided on \
              mechanism hit paths), comp:N (N SFI compartments with \
              mediated cross-compartment transfers) or ret (shadow-stack \
              return integrity). Defaults to \\$SDT_CFI or none.")
@@ -952,7 +929,7 @@ let cmd =
     Term.(
       const run $ file $ workload $ size_name $ native $ arch_name $ mech
       $ ibtc_entries $ sieve_buckets $ inline $ miss_policy $ returns $ pred
-      $ no_link $ traces $ ways $ profile_ib $ shepherd $ cfi_name $ show_stats
+      $ no_link $ traces $ ways $ profile_ib $ cfi_name $ show_stats
       $ trace_steps $ dump_frags $ max_steps $ trace_file $ metrics_file
       $ profile $ sample_interval $ exec_mode_name $ introspect_dir
       $ stats_json $ serve_tenants $ serve_policy $ serve_bound $ serve_budget

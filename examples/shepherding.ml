@@ -5,6 +5,10 @@
    miss path — the IB mechanisms then cache only *validated* targets, so
    the policy costs nothing in steady state.
 
+   Shepherding is the degenerate control-transfer policy
+   ([Config.Cfi_shepherd], [via_run --cfi shepherd]): the text-range
+   check every CFI policy makes on translator lookups, and nothing else.
+
    The example runs a victim program whose function-pointer table is
    "corrupted" to point into its data segment, then shows (a) the
    unprotected SDT following the rogue pointer and (b) the shepherded
@@ -17,6 +21,7 @@ module Arch = Sdt_march.Arch
 module Timing = Sdt_march.Timing
 module Assembler = Sdt_isa.Assembler
 module Config = Sdt_core.Config
+module Cfi = Sdt_core.Cfi
 module Runtime = Sdt_core.Runtime
 module Suite = Sdt_workloads.Suite
 
@@ -53,7 +58,10 @@ let () =
   let program = Assembler.assemble_string victim in
 
   print_endline "1. unprotected SDT follows the corrupted pointer:";
-  let rt = Runtime.create ~cfg:Config.default ~arch:Arch.arch_a program in
+  let with_policy cfi = { Config.default with cfi } in
+  let rt =
+    Runtime.create ~cfg:(with_policy Config.Cfi_none) ~arch:Arch.arch_a program
+  in
   (match Runtime.run ~max_steps:100_000 rt with
   | () ->
       Printf.printf
@@ -67,13 +75,16 @@ let () =
         (Printexc.to_string e));
 
   print_endline "\n2. shepherded SDT stops it at the transfer:";
-  let cfg = { Config.default with shepherd = true } in
-  let rt = Runtime.create ~cfg ~arch:Arch.arch_a program in
+  let rt =
+    Runtime.create
+      ~cfg:(with_policy Config.Cfi_shepherd)
+      ~arch:Arch.arch_a program
+  in
   (match Runtime.run ~max_steps:100_000 rt with
   | () -> print_endline "   BUG: hijack not caught"
-  | exception Runtime.Policy_violation { target } ->
+  | exception Cfi.Violation { target; _ } ->
       Printf.printf
-        "   Policy_violation: transfer to 0x%x (the data segment) blocked \
+        "   Cfi.Violation: transfer to 0x%x (the data segment) blocked \
          before the shellcode could run\n"
         target
   | exception e -> Printf.printf "   unexpected: %s\n" (Printexc.to_string e));
@@ -81,17 +92,16 @@ let () =
   (* enforcement is free in steady state: compare cycles on a real
      workload *)
   let e = Option.get (Suite.find "vortex") in
-  let cycles shepherd =
+  let cycles cfi =
     let timing = Timing.create Arch.arch_a in
     let rt =
-      Runtime.create
-        ~cfg:{ Config.default with shepherd }
-        ~arch:Arch.arch_a ~timing (Suite.program e `Test)
+      Runtime.create ~cfg:(with_policy cfi) ~arch:Arch.arch_a ~timing
+        (Suite.program e `Test)
     in
     Runtime.run rt;
     Timing.cycles timing
   in
-  let off = cycles false and on_ = cycles true in
+  let off = cycles Config.Cfi_none and on_ = cycles Config.Cfi_shepherd in
   Printf.printf
     "\n3. enforcement cost on vortex: %d cycles unprotected, %d shepherded \
      (%+.3f%%)\n"

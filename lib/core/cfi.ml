@@ -94,28 +94,33 @@ let pre_seed t env ~entry =
 let create env ~text_lo ~text_hi ~entry =
   let cfg = env.Env.cfg in
   let arch = env.Env.arch in
+  let policy = cfg.Config.cfi in
   let comp_count =
-    match cfg.Config.cfi with
+    match policy with
     | Config.Cfi_compartment { count } -> count
     | _ -> 0
   in
   let pad_words =
-    match cfg.Config.cfi with
+    match policy with
     | Config.Cfi_landing_pad | Config.Cfi_compartment _ -> 4
-    | Config.Cfi_none | Config.Ret_integrity -> 0
+    | Config.Cfi_none | Config.Cfi_shepherd | Config.Ret_integrity -> 0
   in
+  (* shepherding only range-checks translator lookups: it keeps no
+     membership, entry-point or body sets *)
+  let lookup_only = policy = Config.Cfi_shepherd in
+  let table n = Hashtbl.create (if lookup_only then 1 else n) in
   if comp_count > 0 && env.Env.layout.Layout.cfi_slot = 0 then
     env.Env.layout.Layout.cfi_slot <- Layout.alloc env.Env.layout ~bytes:4;
   let t =
     {
-      policy = cfg.Config.cfi;
+      policy;
       text_lo;
       text_hi;
       comp_count;
       pad_words;
-      members = Hashtbl.create 1024;
-      entry_points = Hashtbl.create 256;
-      bodies = Hashtbl.create 1024;
+      members = table 1024;
+      entry_points = table 256;
+      bodies = table 1024;
       viol_at = Hashtbl.create 16;
       host_checks = 0;
       host_rejects = 0;
@@ -124,8 +129,21 @@ let create env ~text_lo ~text_hi ~entry =
       mediate_cycles = arch.Arch.lookup_cycles;
     }
   in
-  pre_seed t env ~entry;
+  if not lookup_only then pre_seed t env ~entry;
   t
+
+(* The hard-predicate check every policy applies to translator lookups
+   (and [validate] to miss-path targets): a failure is counted,
+   attributed to the recorded site (or the target when no site is
+   known) and aborts the transfer. *)
+let check t env ~target =
+  if not (hard_ok t target) then begin
+    let stats = env.Env.stats in
+    stats.Stats.cfi_violations <- stats.Stats.cfi_violations + 1;
+    let site = read_site t env in
+    note t (if site <> 0 then site else target);
+    raise (Violation { site_pc = site; target })
+  end
 
 (* The landing pad (4 words), emitted at the top of every fragment:
 
@@ -189,12 +207,7 @@ let validate t env ~target =
   let stats = env.Env.stats in
   stats.Stats.cfi_checks <- stats.Stats.cfi_checks + 1;
   Env.charge env t.check_cycles;
-  if not (hard_ok t target) then begin
-    stats.Stats.cfi_violations <- stats.Stats.cfi_violations + 1;
-    let site = read_site t env in
-    note t (if site <> 0 then site else target);
-    raise (Violation { site_pc = site; target })
-  end;
+  check t env ~target;
   if not (Hashtbl.mem t.members target) then begin
     (* trust-on-first-use admission: charge the full monitor entry *)
     Hashtbl.replace t.members target ();
@@ -245,16 +258,21 @@ let link_guard t _env =
 let on_flush t = Hashtbl.reset t.bodies
 
 let install t env =
-  env.Env.cfi <-
-    Some
-      {
-        Env.cf_policy = t.policy;
-        cf_pad_words = t.pad_words;
-        cf_emit_pad = (fun env ~app_pc -> emit_pad t env ~app_pc);
-        cf_emit_site = (fun env ~site_pc ~kind -> emit_site t env ~site_pc ~kind);
-        cf_validate = (fun env ~target -> validate t env ~target);
-        cf_ret_violation = (fun env ~site_pc -> ret_violation t env ~site_pc);
-      }
+  (* shepherding has no emission or miss-path stage: its one check is
+     the runtime's translator-lookup [check] *)
+  if t.policy <> Config.Cfi_shepherd then
+    env.Env.cfi <-
+      Some
+        {
+          Env.cf_policy = t.policy;
+          cf_pad_words = t.pad_words;
+          cf_emit_pad = (fun env ~app_pc -> emit_pad t env ~app_pc);
+          cf_emit_site =
+            (fun env ~site_pc ~kind -> emit_site t env ~site_pc ~kind);
+          cf_validate = (fun env ~target -> validate t env ~target);
+          cf_ret_violation =
+            (fun env ~site_pc -> ret_violation t env ~site_pc);
+        }
 
 let report t =
   [

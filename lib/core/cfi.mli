@@ -1,4 +1,13 @@
-(** The CFI policy stage of the staged IB-translation pipeline.
+(** The control-transfer policy layer: the owner of the application's
+    text range and of the one hard safety predicate (word-aligned,
+    inside the text segment) every policy enforces.
+
+    The runtime checks every translator lookup against that predicate
+    ({!check}) whenever a policy is active. For {b program shepherding}
+    ([Cfi_shepherd]) that is the whole policy: no pads, no site stage,
+    no membership tables and no miss-path hooks, so it charges nothing
+    and counts nothing in steady state. The other policies add a staged
+    pipeline on top.
 
     One policy engine serves every IB mechanism: the translator calls
     {!install}ed hooks (via {!Env.cfi_emit_pad} / {!Env.cfi_emit_site})
@@ -45,20 +54,26 @@
 type t
 
 exception Violation of { site_pc : int; target : int }
-(** A hard CFI failure: a misaligned or out-of-text indirect target
-    (like {!Runtime.Policy_violation}, but attributed to the recorded
-    transferring site when a compartment policy knows it; [site_pc] is
-    0 when unknown). *)
+(** A hard failure: a misaligned or out-of-text control-transfer
+    target, attributed to the recorded transferring site when a
+    compartment policy knows it ([site_pc] is 0 when unknown). *)
 
 val create : Env.t -> text_lo:int -> text_hi:int -> entry:int -> t
 (** Build the policy state for [env.cfg.cfi] (which must not be
-    [Cfi_none]): statically scans the text segment to pre-seed the
-    membership and entry-point sets, and allocates the compartment
+    [Cfi_none]) over the text range [\[text_lo, text_hi)]: statically
+    scans the text segment to pre-seed the membership and entry-point
+    sets (not under [Cfi_shepherd]), and allocates the compartment
     site slot when the policy needs one. *)
 
 val install : t -> Env.t -> unit
-(** Install the {!Env.cfi_hooks} closures on the environment. Must run
-    before any application code is translated. *)
+(** Install the {!Env.cfi_hooks} closures on the environment (none
+    under [Cfi_shepherd]). Must run before any application code is
+    translated. *)
+
+val check : t -> Env.t -> target:int -> unit
+(** The translator-lookup check: charges nothing; a target failing the
+    hard predicate is counted ([cfi_violations]) and raises
+    {!Violation}. *)
 
 val on_flush : t -> unit
 (** Forget the flushed generation's fragment-body set. Membership and

@@ -37,12 +37,14 @@ type spill_mode = Spill_auto | Spill_always | Spill_never
 
 type cfi_policy =
   | Cfi_none
+  | Cfi_shepherd
   | Cfi_landing_pad
   | Cfi_compartment of { count : int }
   | Ret_integrity
 
 let cfi_name = function
   | Cfi_none -> "none"
+  | Cfi_shepherd -> "shepherd"
   | Cfi_landing_pad -> "landing_pad"
   | Cfi_compartment { count } -> Printf.sprintf "compartment:%d" count
   | Ret_integrity -> "ret_integrity"
@@ -50,6 +52,7 @@ let cfi_name = function
 let cfi_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "" | "none" | "off" -> Ok Cfi_none
+  | "shepherd" -> Ok Cfi_shepherd
   | "landing_pad" | "landing-pad" | "pad" -> Ok Cfi_landing_pad
   | "ret_integrity" | "ret-integrity" | "ret" -> Ok Ret_integrity
   | "compartment" | "comp" -> Ok (Cfi_compartment { count = 8 })
@@ -71,7 +74,8 @@ let cfi_of_string s =
       | None, None ->
           Error
             (Printf.sprintf
-               "unknown CFI policy %S (want none|landing_pad|compartment[:K]|ret_integrity)"
+               "unknown CFI policy %S (want \
+                none|shepherd|landing_pad|compartment[:K]|ret_integrity)"
                s))
 
 (* the SDT_CFI environment variable retargets [default]/[baseline] so an
@@ -100,7 +104,6 @@ type t = {
   code_capacity : int;
   count_memops : bool;
   profile_ib_sites : bool;
-  shepherd : bool;
   cfi : cfi_policy;
 }
 
@@ -142,7 +145,6 @@ let default =
     code_capacity = 0x0050_0000;
     count_memops = false;
     profile_ib_sites = false;
-    shepherd = false;
     cfi = cfi_from_env;
   }
 
@@ -158,7 +160,6 @@ let baseline =
     code_capacity = 0x0050_0000;
     count_memops = false;
     profile_ib_sites = false;
-    shepherd = false;
     cfi = cfi_from_env;
   }
 
@@ -242,21 +243,18 @@ let validate t =
         ensure (depth > 0 && depth <= 1 lsl 16) "shadow stack depth out of range"
   in
   let* () =
-    ensure
-      (not (t.shepherd && t.returns = Fast_return))
-      "shepherding cannot police fast returns (they bypass the translator)"
-  in
-  let* () =
     match t.cfi with
-    | Cfi_none | Cfi_landing_pad | Ret_integrity -> Ok ()
+    | Cfi_none | Cfi_landing_pad -> Ok ()
+    | Cfi_shepherd | Ret_integrity ->
+        (* these policies police returns in the translator *)
+        ensure (t.returns <> Fast_return)
+          (Printf.sprintf
+             "the %s policy cannot police fast returns (they bypass the \
+              translator)"
+             (cfi_name t.cfi))
     | Cfi_compartment { count } ->
         ensure (count >= 1 && count <= 256)
           "cfi compartment count must be in [1, 256]"
-  in
-  let* () =
-    ensure
-      (not (t.cfi = Ret_integrity && t.returns = Fast_return))
-      "return integrity cannot police fast returns (they bypass the translator)"
   in
   let* () = ensure (t.pred_depth >= 0 && t.pred_depth <= 4) "pred_depth in [0,4]" in
   let* () = ensure (t.block_limit >= 1) "block_limit must be positive" in
@@ -295,12 +293,12 @@ let describe t =
   let link = if t.link_direct then "" else "+nolink" in
   let trace = if t.follow_direct_jumps then "+traces" else "" in
   let instr = if t.count_memops then "+count-memops" else "" in
-  let shep = if t.shepherd then "+shepherd" else "" in
   let cfi =
     match t.cfi with
     | Cfi_none -> ""
+    | Cfi_shepherd -> "+cfi:shepherd"
     | Cfi_landing_pad -> "+cfi:pad"
     | Cfi_compartment { count } -> Printf.sprintf "+cfi:comp%d" count
     | Ret_integrity -> "+cfi:ret"
   in
-  mech ^ "+" ^ ret ^ pred ^ link ^ trace ^ instr ^ shep ^ cfi
+  mech ^ "+" ^ ret ^ pred ^ link ^ trace ^ instr ^ cfi

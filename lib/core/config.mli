@@ -2,9 +2,11 @@
 
     A configuration picks one indirect-branch translation {!mechanism},
     one {!return_policy}, an optional inline target-prediction depth,
-    and the structural parameters of the translator (fragment-cache
-    capacity, basic-block limit, direct linking). The benchmark harness
-    regenerates the paper's tables by sweeping these. *)
+    one control-transfer enforcement policy ({!cfi_policy}: none,
+    program shepherding, or a CFI policy stage), and the structural
+    parameters of the translator (fragment-cache capacity, basic-block
+    limit, direct linking). The benchmark harness regenerates the
+    paper's tables by sweeping these. *)
 
 type ibtc_miss_policy =
   | Full_switch
@@ -117,6 +119,14 @@ type spill_mode =
 
 type cfi_policy =
   | Cfi_none
+  | Cfi_shepherd
+      (** program shepherding, the degenerate policy: every target the
+          translator is asked to translate must be a word-aligned
+          address in the application's text segment, else
+          {!Cfi.Violation}. Nothing is emitted and nothing is charged —
+          the check lives on the translator's lookup path only, so
+          steady-state cost is zero. Incompatible with {!Fast_return},
+          whose returns bypass the translator. *)
   | Cfi_landing_pad
       (** FineIBT-style enforcement: every fragment opens with a 4-word
           landing pad that verifies the delivered target register against
@@ -142,11 +152,12 @@ type cfi_policy =
           through the IB mechanism. Incompatible with {!Fast_return}. *)
 
 val cfi_name : cfi_policy -> string
-(** ["none"], ["landing_pad"], ["compartment:K"], ["ret_integrity"]. *)
+(** ["none"], ["shepherd"], ["landing_pad"], ["compartment:K"],
+    ["ret_integrity"]. *)
 
 val cfi_of_string : string -> (cfi_policy, string) result
-(** Parse [none|landing_pad|compartment[:K]|ret_integrity] (a few
-    aliases accepted); inverse of {!cfi_name}. *)
+(** Parse [none|shepherd|landing_pad|compartment[:K]|ret_integrity] (a
+    few aliases accepted); inverse of {!cfi_name}. *)
 
 val cfi_from_env : cfi_policy
 (** The policy named by the [SDT_CFI] environment variable at startup
@@ -174,31 +185,33 @@ type t = {
           straighter fetch — at the cost of duplicating code reached
           from several places *)
   spill : spill_mode;
-  block_limit : int;      (** max instructions translated per fragment *)
-  code_capacity : int;    (** fragment code region bytes actually used *)
+  block_limit : int;
+      (** max instructions translated per fragment. Distinguished by the
+          "tiny blocks" test (limit 2 translates more blocks than 64);
+          no caller outside the tests changes it from 64 *)
+  code_capacity : int;
+      (** fragment code region bytes actually used. Distinguished by the
+          "flush pressure" test (0x400 bytes force flushes); no caller
+          outside the tests changes it *)
   count_memops : bool;
       (** instrumentation mode: emit a counter increment before every
           translated load/store (the paper's motivating SDT use case);
-          read the count back with {!Runtime.instrumented_memops} *)
+          read the count back with {!Runtime.instrumented_memops}.
+          Distinguished by the "memop instrumentation" test (the count
+          equals the native loads + stores); caller:
+          [examples/instrumentation.ml] *)
   profile_ib_sites : bool;
       (** instrumentation mode: give every translated indirect-branch
           site its own execution counter; read the profile back with
           {!Runtime.ib_site_profile} — the data a dynamic optimiser
-          would use to pick per-site mechanisms *)
-  shepherd : bool;
-      (** program shepherding (the security use case of SDTs): every
-          control-transfer target entering the translator is validated
-          against the application's text region before it is translated
-          or cached; a hijacked indirect branch raises
-          {!Runtime.Policy_violation} instead of executing data.
-          Validation happens only on the miss path, so steady-state cost
-          is zero — the selling point of SDT-based enforcement.
-          Incompatible with {!Fast_return}, whose returns bypass the
-          translator entirely (the security/transparency trade). *)
+          would use to pick per-site mechanisms. Distinguished by the
+          "IB site profiling" test (the profile sums to the dynamic IB
+          count); callers: [via_run --profile-ib],
+          [examples/profiling.ml] *)
   cfi : cfi_policy;
-      (** control-flow-integrity policy stage composed with the IB
+      (** the control-transfer enforcement policy composed with the IB
           mechanism at translation time (see {!cfi_policy}); [Cfi_none]
-          emits nothing and charges nothing. *)
+          and [Cfi_shepherd] emit nothing and charge nothing. *)
 }
 
 val default_ibtc : ibtc
@@ -223,7 +236,9 @@ val baseline : t
 
 val validate : t -> (unit, string) result
 (** Check power-of-two table sizes, positive limits, and mechanism /
-    return-policy compatibility. *)
+    return-policy compatibility (a policy that polices returns in the
+    translator — [Cfi_shepherd], [Ret_integrity] — rejects
+    [Fast_return]). *)
 
 val describe : t -> string
 (** A short single-line description, e.g.

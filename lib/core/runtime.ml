@@ -22,16 +22,9 @@ type t = {
   mutable ret : Translate.ret_plan;
   mutable mech : mech_instance;
   entry : int;
-  (* program shepherding: the address range of the application's text
-     segment (the one containing the entry point); valid transfer
-     targets must be word-aligned addresses inside it *)
-  text_lo : int;
-  text_hi : int;
-  cfi : Cfi.t option;  (** the active CFI policy engine, if any *)
+  cfi : Cfi.t option;  (** the active policy engine, if any *)
   mutable started : bool;
 }
-
-exception Policy_violation of { target : int }
 
 let wire_mech_dispatch env =
   env.Env.mech_routine <- env.Env.translator_entry;
@@ -152,10 +145,9 @@ let ensure t app_pc =
   (match env.Env.service with
   | Some s when s.Env.sv_flush_pending -> env.Env.flush ()
   | Some _ | None -> ());
-  if
-    env.Env.cfg.Config.shepherd
-    && (app_pc < t.text_lo || app_pc >= t.text_hi || app_pc land 3 <> 0)
-  then raise (Policy_violation { target = app_pc });
+  (* every policy refuses to translate a target outside application
+     text; for shepherding this is the whole policy *)
+  (match t.cfi with Some c -> Cfi.check c env ~target:app_pc | None -> ());
   match Hashtbl.find_opt env.Env.frags app_pc with
   | Some frag -> frag
   | None -> (
@@ -281,22 +273,23 @@ let create ~cfg ~arch ?timing ?observer (program : Program.t) =
   let env = Env.create ~cfg ~arch ~machine ~em ~layout in
   (* before any code is emitted, so shared-routine regions register *)
   env.Env.obs <- observer;
-  let text_lo, text_hi =
-    match
-      List.find_opt
-        (fun { Program.base; data } ->
-          program.Program.entry >= base
-          && program.Program.entry < base + Bytes.length data)
-        program.Program.segments
-    with
-    | Some { Program.base; data } -> (base, base + Bytes.length data)
-    | None -> (program.Program.entry, program.Program.entry + 4)
-  in
   let cfi =
     match cfg.Config.cfi with
     | Config.Cfi_none -> None
-    | Config.Cfi_landing_pad | Config.Cfi_compartment _ | Config.Ret_integrity
-      ->
+    | Config.Cfi_shepherd | Config.Cfi_landing_pad | Config.Cfi_compartment _
+    | Config.Ret_integrity ->
+        (* the application's text is the segment holding the entry *)
+        let text_lo, text_hi =
+          match
+            List.find_opt
+              (fun { Program.base; data } ->
+                program.Program.entry >= base
+                && program.Program.entry < base + Bytes.length data)
+              program.Program.segments
+          with
+          | Some { Program.base; data } -> (base, base + Bytes.length data)
+          | None -> (program.Program.entry, program.Program.entry + 4)
+        in
         let c = Cfi.create env ~text_lo ~text_hi ~entry:program.Program.entry in
         Cfi.install c env;
         (match Cfi.link_guard c env with
@@ -310,8 +303,6 @@ let create ~cfg ~arch ?timing ?observer (program : Program.t) =
       ret = Translate.Plan_as_ib;
       mech = M_dispatch;
       entry = program.Program.entry;
-      text_lo;
-      text_hi;
       cfi;
       started = false;
     }
@@ -417,7 +408,13 @@ let ib_site_profile t =
   |> List.sort (fun (pa, a) (pb, b) ->
          if a = b then compare pa pb else compare b a)
 
-let cfi_policy t = t.env.Env.cfg.Config.cfi
+let cfi_elided t =
+  match t.env.Env.cfi with
+  | None -> 0
+  | Some _ ->
+      max 0
+        (Machine.ib_dynamic_count t.env.Env.machine
+        - t.env.Env.stats.Stats.cfi_checks)
 
 let cfi_report t =
   match t.cfi with None -> [] | Some c -> Cfi.report c

@@ -4,7 +4,11 @@
     Execution never touches original application text after startup:
     the entry block is translated, the machine's PC is pointed into the
     fragment cache, and all further translation happens through trap
-    handlers (lazy block translation, stub linking, IB misses). *)
+    handlers (lazy block translation, stub linking, IB misses). Under
+    any {!Config.cfi_policy} but [Cfi_none], every one of those
+    translator lookups first passes the policy's text-range check
+    ({!Cfi.check}); program shepherding ([Cfi_shepherd]) is exactly
+    that check and nothing more. *)
 
 module Arch = Sdt_march.Arch
 module Timing = Sdt_march.Timing
@@ -12,11 +16,6 @@ module Machine = Sdt_machine.Machine
 module Program = Sdt_isa.Program
 
 exception Error of string
-
-exception Policy_violation of { target : int }
-(** Raised (under {!Config.t.shepherd}) when a control transfer tries to
-    enter code outside the application's text segment — e.g. an indirect
-    branch through a corrupted function pointer. *)
 
 type t
 
@@ -55,7 +54,11 @@ val run :
     are simply faster host-side.
     @raise Machine.Error on step-limit overrun;
     @raise Error on translator failures (unsupported application code,
-    fragment-cache overflow under fast returns). *)
+    fragment-cache overflow under fast returns);
+    @raise Cfi.Violation under any policy but [Cfi_none] when a control
+    transfer tries to enter code outside the application's text
+    segment — e.g. an indirect branch through a corrupted function
+    pointer. *)
 
 val start : t -> unit
 (** Translate the entry block and point the machine's PC at it, once;
@@ -102,8 +105,11 @@ val adapt_site_at : t -> int -> Adapt.site_info option
 (** The adaptive site owning a fragment-cache address (its current tier
     body or one of its occurrence transfers), if any. *)
 
-val cfi_policy : t -> Config.cfi_policy
-(** The configured CFI policy (possibly [Cfi_none]). *)
+val cfi_elided : t -> int
+(** Dynamic indirect transfers the policy never re-checked
+    ([ib_dynamic - cfi_checks], at least 0): the hit-path elision the
+    caching mechanisms buy. 0 under policies that never validate on
+    miss paths ([Cfi_none], [Cfi_shepherd]). *)
 
 val cfi_report : t -> (string * int) list
 (** Host-tier CFI bookkeeping (membership/entry-point set sizes, host

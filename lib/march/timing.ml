@@ -59,6 +59,31 @@ let arch t = t.arch
 
 let charge t n = t.cycles <- t.cycles + n
 
+(* ------------------------------------------------------------------ *)
+(* Stateful charge kernels.
+
+   Each event's charge is its compile-time-constant base cost (an
+   [Arch.t] field) plus, for some events, a state-dependent probe of a
+   cache or predictor. The kernels below are those probes, written once:
+   [instr_charge] and the per-shape entry points compose fetch + base
+   cost + kernel, and the block compiler ({!Block}) calls the kernels
+   directly after hoisting every base cost of a block into one batched
+   [charge] at block entry. Cycle totals are order-independent sums, so
+   hoisting pure constant charges is bit-exact as long as the stateful
+   probes still run in program order — which they do, from inside the
+   compiled closures. *)
+
+let fetch_penalty t pc =
+  match t.icache with
+  | None -> ()
+  | Some c ->
+      let line = Cache.line_index c pc in
+      if line <> t.iline then begin
+        t.iline <- line;
+        if not (Cache.access c pc) then
+          charge t (Cache.config c).miss_penalty
+      end
+
 let dcache_access t addr =
   match t.dcache with
   | None -> ()
@@ -79,121 +104,7 @@ let indirect t ~pc ~target =
 let ras_push t next =
   match t.ras with None -> () | Some r -> Branch_pred.Ras.push r next
 
-let fetch_penalty t pc =
-  match t.icache with
-  | None -> ()
-  | Some c ->
-      let line = Cache.line_index c pc in
-      if line <> t.iline then begin
-        t.iline <- line;
-        if not (Cache.access c pc) then
-          charge t (Cache.config c).miss_penalty
-      end
-
-let instr_charge t ~pc ev =
-  fetch_penalty t pc;
-  let a = t.arch in
-  match ev with
-  | Alu -> charge t a.alu_cycles
-  | Mul_op -> charge t a.mul_cycles
-  | Div_op -> charge t a.div_cycles
-  | Load addr | Store addr ->
-      charge t a.mem_cycles;
-      dcache_access t addr
-  | Cond { pc; taken } -> (
-      charge t a.branch_cycles;
-      match t.cond with
-      | None -> ()
-      | Some p ->
-          if not (Branch_pred.Cond.predict_and_update p ~pc ~taken) then
-            charge t a.cond_mispredict)
-  | Jump -> charge t a.branch_cycles
-  | Call { next } ->
-      charge t a.branch_cycles;
-      ras_push t next
-  | Icall { pc; target; next } ->
-      charge t a.branch_cycles;
-      indirect t ~pc ~target;
-      ras_push t next
-  | Ijump { pc; target } ->
-      charge t a.branch_cycles;
-      indirect t ~pc ~target
-  | Return { pc; target } -> (
-      charge t a.branch_cycles;
-      match t.ras with
-      | None -> indirect t ~pc ~target
-      | Some r ->
-          if not (Branch_pred.Ras.pop_predict r ~target) then
-            charge t a.ras_mispredict)
-  | Syscall_op -> charge t a.syscall_cycles
-  | Trap_op -> charge t a.branch_cycles
-  | Halt_op -> charge t a.alu_cycles
-
-let instr t ~pc ev =
-  match t.probe with
-  | None -> instr_charge t ~pc ev
-  | Some f ->
-      let before = t.cycles in
-      instr_charge t ~pc ev;
-      f ~pc ev ~cycles:(t.cycles - before)
-
-(* ------------------------------------------------------------------ *)
-(* No-probe charge kernels.
-
-   Each kernel charges everything [instr_charge] would for its event
-   shape EXCEPT the instruction fetch, which the caller issues
-   separately via [fetch_np]. This split is what the block compiler
-   ({!Block}) builds on: it resolves at compile time both the probe
-   check (blocks run only when no probe is installed — [run_blocks]
-   falls back to the per-step path otherwise) and, via {!same_line},
-   whether the fetch is a provable no-op, so a compiled closure calls
-   exactly the charges that can have an effect. *)
-
 let[@inline] fetch_np t ~pc = fetch_penalty t pc
-
-let[@inline] mem_np t ~addr =
-  charge t t.arch.mem_cycles;
-  dcache_access t addr
-
-let[@inline] cond_np t ~pc ~taken =
-  charge t t.arch.branch_cycles;
-  match t.cond with
-  | None -> ()
-  | Some p ->
-      if not (Branch_pred.Cond.predict_and_update p ~pc ~taken) then
-        charge t t.arch.cond_mispredict
-
-let[@inline] jump_np t = charge t t.arch.branch_cycles
-
-let[@inline] call_np t ~next =
-  charge t t.arch.branch_cycles;
-  ras_push t next
-
-let[@inline] icall_np t ~pc ~target ~next =
-  charge t t.arch.branch_cycles;
-  indirect t ~pc ~target;
-  ras_push t next
-
-let[@inline] ijump_np t ~pc ~target =
-  charge t t.arch.branch_cycles;
-  indirect t ~pc ~target
-
-let[@inline] return_np t ~pc ~target =
-  charge t t.arch.branch_cycles;
-  match t.ras with
-  | None -> indirect t ~pc ~target
-  | Some r ->
-      if not (Branch_pred.Ras.pop_predict r ~target) then
-        charge t t.arch.ras_mispredict
-
-(* Pred-only kernels: the state-dependent remainder of an event once
-   its compile-time-constant base cost has been hoisted into the
-   block's batched static charge ({!Block} charges the sum of every
-   base cost in the block with ONE [charge] call at block entry).
-   Cycle totals are order-independent sums, so hoisting pure constant
-   charges is bit-exact as long as these stateful probes still run in
-   program order — which they do, from inside the compiled closures. *)
-
 let[@inline] dcache_np t ~addr = dcache_access t addr
 
 let[@inline] cond_pred_np t ~pc ~taken =
@@ -217,6 +128,42 @@ let[@inline] return_pred_np t ~pc ~target =
       if not (Branch_pred.Ras.pop_predict r ~target) then
         charge t t.arch.ras_mispredict
 
+let instr_charge t ~pc ev =
+  fetch_np t ~pc;
+  let a = t.arch in
+  match ev with
+  | Alu | Halt_op -> charge t a.alu_cycles
+  | Mul_op -> charge t a.mul_cycles
+  | Div_op -> charge t a.div_cycles
+  | Load addr | Store addr ->
+      charge t a.mem_cycles;
+      dcache_np t ~addr
+  | Cond { pc; taken } ->
+      charge t a.branch_cycles;
+      cond_pred_np t ~pc ~taken
+  | Jump | Trap_op -> charge t a.branch_cycles
+  | Call { next } ->
+      charge t a.branch_cycles;
+      ras_push_np t ~next
+  | Icall { pc; target; next } ->
+      charge t a.branch_cycles;
+      icall_pred_np t ~pc ~target ~next
+  | Ijump { pc; target } ->
+      charge t a.branch_cycles;
+      ipred_np t ~pc ~target
+  | Return { pc; target } ->
+      charge t a.branch_cycles;
+      return_pred_np t ~pc ~target
+  | Syscall_op -> charge t a.syscall_cycles
+
+let instr t ~pc ev =
+  match t.probe with
+  | None -> instr_charge t ~pc ev
+  | Some f ->
+      let before = t.cycles in
+      instr_charge t ~pc ev;
+      f ~pc ev ~cycles:(t.cycles - before)
+
 let same_line t a b =
   match t.icache with
   | None -> true (* fetch_penalty is a no-op without an icache *)
@@ -238,98 +185,105 @@ let alu t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Alu
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.alu_cycles
 
 let mul t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Mul_op
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.mul_cycles
 
 let div t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Div_op
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.div_cycles
 
 let load t ~pc ~addr =
   match t.probe with
   | Some _ -> instr t ~pc (Load addr)
   | None ->
-      fetch_penalty t pc;
-      mem_np t ~addr
+      fetch_np t ~pc;
+      charge t t.arch.mem_cycles;
+      dcache_np t ~addr
 
 let store t ~pc ~addr =
   match t.probe with
   | Some _ -> instr t ~pc (Store addr)
   | None ->
-      fetch_penalty t pc;
-      mem_np t ~addr
+      fetch_np t ~pc;
+      charge t t.arch.mem_cycles;
+      dcache_np t ~addr
 
 let cond t ~pc ~taken =
   match t.probe with
   | Some _ -> instr t ~pc (Cond { pc; taken })
   | None ->
-      fetch_penalty t pc;
-      cond_np t ~pc ~taken
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles;
+      cond_pred_np t ~pc ~taken
 
 let jump t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Jump
   | None ->
-      fetch_penalty t pc;
-      jump_np t
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles
 
 let call t ~pc ~next =
   match t.probe with
   | Some _ -> instr t ~pc (Call { next })
   | None ->
-      fetch_penalty t pc;
-      call_np t ~next
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles;
+      ras_push_np t ~next
 
 let icall t ~pc ~target ~next =
   match t.probe with
   | Some _ -> instr t ~pc (Icall { pc; target; next })
   | None ->
-      fetch_penalty t pc;
-      icall_np t ~pc ~target ~next
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles;
+      icall_pred_np t ~pc ~target ~next
 
 let ijump t ~pc ~target =
   match t.probe with
   | Some _ -> instr t ~pc (Ijump { pc; target })
   | None ->
-      fetch_penalty t pc;
-      ijump_np t ~pc ~target
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles;
+      ipred_np t ~pc ~target
 
 let return t ~pc ~target =
   match t.probe with
   | Some _ -> instr t ~pc (Return { pc; target })
   | None ->
-      fetch_penalty t pc;
-      return_np t ~pc ~target
+      fetch_np t ~pc;
+      charge t t.arch.branch_cycles;
+      return_pred_np t ~pc ~target
 
 let syscall_op t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Syscall_op
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.syscall_cycles
 
 let trap_op t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Trap_op
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.branch_cycles
 
 let halt_op t ~pc =
   match t.probe with
   | Some _ -> instr t ~pc Halt_op
   | None ->
-      fetch_penalty t pc;
+      fetch_np t ~pc;
       charge t t.arch.alu_cycles
 
 let set_probe t f = t.probe <- f

@@ -54,10 +54,10 @@ let spill = function
 
 let config (c : Config.t) =
   Printf.sprintf
-    "cfg{%s;ret=%s;pred=%d;link=%b;traces=%b;spill=%s;blk=%d;cap=%d;memops=%b;profib=%b;shep=%b;cfi=%s}"
+    "cfg{%s;ret=%s;pred=%d;link=%b;traces=%b;spill=%s;blk=%d;cap=%d;memops=%b;profib=%b;cfi=%s}"
     (mechanism c.Config.mech) (returns c.returns) c.pred_depth c.link_direct
     c.follow_direct_jumps (spill c.spill) c.block_limit c.code_capacity
-    c.count_memops c.profile_ib_sites c.shepherd (Config.cfi_name c.cfi)
+    c.count_memops c.profile_ib_sites (Config.cfi_name c.cfi)
 
 let cell ~key ~arch:a ~cfg =
   Printf.sprintf "%s|%s|%s|%s" version key (arch a)

@@ -563,12 +563,7 @@ let run ?pool ?(mode = `Block) s =
               Registry.add hits_of.(j.a_tenant) stats.Stats.dedup_hits;
               let cfi_checks = stats.Stats.cfi_checks in
               let cfi_violations = stats.Stats.cfi_violations in
-              (* transfers the policy never re-checked: the hit-path
-                 elision the per-site mechanisms buy *)
-              let cfi_elided =
-                if Runtime.cfi_policy j.a_rt = Config.Cfi_none then 0
-                else max 0 (Machine.ib_dynamic_count m - cfi_checks)
-              in
+              let cfi_elided = Runtime.cfi_elided j.a_rt in
               Registry.add cfi_checks_of.(j.a_tenant) cfi_checks;
               Registry.add cfi_viol_of.(j.a_tenant) cfi_violations;
               Registry.add cfi_elided_of.(j.a_tenant) cfi_elided;

@@ -148,7 +148,8 @@ type job_result = {
   jr_cfi_violations : int;
   jr_cfi_elided : int;
       (** indirect transfers delivered by a mechanism hit path with no
-          re-check ([ib_dynamic - cfi_checks]); 0 under [Cfi_none] *)
+          re-check ({!Sdt_core.Runtime.cfi_elided}); 0 under [Cfi_none]
+          and [Cfi_shepherd] *)
 }
 
 type result = {

@@ -409,7 +409,15 @@ let test_spill_equivalence () =
   equivalence_case ~cfg:{ Config.default with spill = Config.Spill_never } ()
 
 let test_small_block_limit () =
-  equivalence_case ~cfg:{ Config.default with block_limit = 2 } ()
+  equivalence_case ~cfg:{ Config.default with block_limit = 2 } ();
+  (* the limit takes effect: shorter fragments mean more of them *)
+  let program = Lazy.force torture_program in
+  let blocks block_limit =
+    let _, rt = run_sdt ~cfg:{ Config.default with block_limit } program in
+    (Runtime.stats rt).Stats.blocks_translated
+  in
+  check bool "limit 2 translates more blocks than 64" true
+    (blocks 2 > blocks 64)
 
 let test_trace_equivalence () =
   equivalence_case ~cfg:{ Config.default with follow_direct_jumps = true } ();
@@ -565,45 +573,117 @@ main:   la   $t0, payload
 
 let test_shepherd_catches_hijack () =
   let program = Assembler.assemble_string rogue_src in
-  let cfg = { Config.default with shepherd = true } in
+  let cfg = { Config.default with cfi = Config.Cfi_shepherd } in
   let rt = Runtime.create ~cfg ~arch:Arch.arch_a program in
   (match Runtime.run ~max_steps:100_000 rt with
-  | exception Runtime.Policy_violation { target } ->
-      check int "violation reports the rogue target" Program.default_data_base
-        target
   | exception Cfi.Violation { target; _ } ->
-      (* under SDT_CFI the policy stage catches the hijack before the
-         shepherd range check — equally a successful catch *)
       check int "violation reports the rogue target" Program.default_data_base
         target
   | exception e ->
-      Alcotest.failf "expected Policy_violation, got %s" (Printexc.to_string e)
+      Alcotest.failf "expected Cfi.Violation, got %s" (Printexc.to_string e)
   | () -> Alcotest.fail "hijack executed to completion");
-  (* without shepherding the SDT happily translates the data bytes *)
-  let rt2 = Runtime.create ~cfg:Config.default ~arch:Arch.arch_a program in
-  check bool "unshepherded run does not raise Policy_violation" true
+  (* without a policy the SDT happily translates the data bytes *)
+  let rt2 =
+    Runtime.create
+      ~cfg:{ Config.default with cfi = Config.Cfi_none }
+      ~arch:Arch.arch_a program
+  in
+  check bool "unpoliced run does not raise Cfi.Violation" true
     (match Runtime.run ~max_steps:100_000 rt2 with
-    | exception Runtime.Policy_violation _ -> false
+    | exception Cfi.Violation _ -> false
     | exception _ -> true
     | () -> true)
 
 let test_shepherd_no_false_positives () =
   (* the torture program (tables of legitimate function pointers) must
      run unmodified under enforcement *)
-  equivalence_case ~cfg:{ Config.default with shepherd = true } ();
+  equivalence_case ~cfg:{ Config.default with cfi = Config.Cfi_shepherd } ();
   equivalence_case
     ~cfg:
       {
         Config.default with
-        shepherd = true;
+        cfi = Config.Cfi_shepherd;
         mech = Config.Sieve Config.default_sieve;
         returns = Config.Shadow_stack { depth = 128 };
       }
     ()
 
 let test_shepherd_rejects_fast_returns () =
-  let cfg = { Config.default with shepherd = true; returns = Config.Fast_return } in
+  let cfg =
+    {
+      Config.default with
+      cfi = Config.Cfi_shepherd;
+      returns = Config.Fast_return;
+    }
+  in
   check bool "config rejected" true (Config.validate cfg <> Ok ())
+
+let test_shepherd_is_free () =
+  (* shepherding emits nothing and charges nothing: on well-formed
+     programs it is indistinguishable from no policy at all *)
+  let module Suite = Sdt_workloads.Suite in
+  let run cfg cfi program =
+    let timing = Timing.create Arch.arch_a in
+    let rt =
+      Runtime.create ~cfg:{ cfg with Config.cfi } ~arch:Arch.arch_a ~timing
+        program
+    in
+    Runtime.run ~max_steps:50_000_000 rt;
+    let m = Runtime.machine rt in
+    ( Timing.cycles timing,
+      Machine.output m,
+      m.Machine.checksum,
+      Stats.to_assoc (Runtime.stats rt) )
+  in
+  let with_mech mech = { Config.default with mech } in
+  List.iter
+    (fun (e : Suite.entry) ->
+      let program = Suite.program e `Test in
+      List.iter
+        (fun (mname, cfg) ->
+          let label what = Printf.sprintf "%s/%s %s" e.Suite.name mname what in
+          let c0, o0, k0, s0 = run cfg Config.Cfi_none program in
+          let c1, o1, k1, s1 = run cfg Config.Cfi_shepherd program in
+          check int (label "cycles") c0 c1;
+          check string (label "output") o0 o1;
+          check int (label "checksum") k0 k1;
+          check Alcotest.(list (pair string int)) (label "stats") s0 s1)
+        [
+          ("dispatch", Config.baseline);
+          ("ibtc", Config.default);
+          ("sieve", with_mech (Config.Sieve Config.default_sieve));
+          ("adaptive", with_mech (Config.Adaptive Config.default_adaptive));
+        ])
+    (Suite.all @ Suite.extra)
+
+let test_cfi_names_round_trip () =
+  List.iter
+    (fun p ->
+      check bool
+        (Printf.sprintf "%s round-trips" (Config.cfi_name p))
+        true
+        (Config.cfi_of_string (Config.cfi_name p) = Ok p))
+    [
+      Config.Cfi_none;
+      Config.Cfi_shepherd;
+      Config.Cfi_landing_pad;
+      Config.Cfi_compartment { count = 8 };
+      Config.Cfi_compartment { count = 3 };
+      Config.Ret_integrity;
+    ];
+  check bool "comp:N parses" true
+    (Config.cfi_of_string "comp:8" = Ok (Config.Cfi_compartment { count = 8 }));
+  match Config.cfi_of_string "bogus" with
+  | Ok _ -> Alcotest.fail "unknown policy accepted"
+  | Error msg ->
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      check bool "error lists shepherd" true (mentions "shepherd")
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-stack edge cases *)
@@ -1199,6 +1279,9 @@ let () =
             test_shepherd_no_false_positives;
           Alcotest.test_case "rejects fast returns" `Quick
             test_shepherd_rejects_fast_returns;
+          Alcotest.test_case "shepherd is free" `Quick test_shepherd_is_free;
+          Alcotest.test_case "policy names round-trip" `Quick
+            test_cfi_names_round_trip;
         ] );
       ( "shadow-stack",
         [

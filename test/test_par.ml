@@ -111,15 +111,16 @@ let test_fingerprint_arch_no_alias () =
 
 let test_fingerprint_config_covers_elided_fields () =
   (* Config.describe elides spill/block_limit/code_capacity; the
-     fingerprint must not *)
-  let base = Config.default in
+     fingerprint must not (the policy is pinned so the shepherd
+     variant differs under any SDT_CFI) *)
+  let base = { Config.default with Config.cfi = Config.Cfi_none } in
   let variants =
     [
       { base with Config.spill = Config.Spill_always };
       { base with Config.block_limit = base.Config.block_limit + 1 };
       { base with Config.code_capacity = base.Config.code_capacity * 2 };
       { base with Config.count_memops = true };
-      { base with Config.shepherd = true };
+      { base with Config.cfi = Config.Cfi_shepherd };
     ]
   in
   List.iter
