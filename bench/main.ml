@@ -272,6 +272,7 @@ let experiment_json (e : Experiments.experiment) size ~jobs seconds
        ("id", Jsonw.Str e.Experiments.id);
        ("title", Jsonw.Str e.Experiments.title);
        ("size", Jsonw.Str (match size with `Test -> "test" | `Ref -> "ref"));
+       ("profile", Jsonw.Str Build_profile.name);
        ("jobs", Jsonw.Int jobs);
        ("seconds", Jsonw.Float seconds);
        ("cells", Jsonw.Int r.r_cells);
@@ -510,6 +511,11 @@ let run_check_perf (o : options) exps =
     (List.length exps) size_str
     (Machine.string_of_mode o.exec_mode)
     o.best_of o.tolerance;
+  if Build_profile.name <> "release" then
+    Printf.printf
+      "  warning: built under the %s profile; the baselines were recorded \
+       under release and do not apply\n%!"
+      Build_profile.name;
   (* Measure the way the baselines were recorded: one cold pass over
      the selection with the in-run memo shared across experiments
      (F8/F9 share a grid — clearing between experiments would time F9
@@ -552,7 +558,11 @@ let run_check_perf (o : options) exps =
       ~exec_mode:(Machine.string_of_mode o.exec_mode)
       ~cache:"cold"
       ~extra:
-        [ ("size", Jsonw.Str size_str); ("best_of", Jsonw.Int o.best_of) ]
+        [
+          ("size", Jsonw.Str size_str);
+          ("best_of", Jsonw.Int o.best_of);
+          ("profile", Jsonw.Str Build_profile.name);
+        ]
       ()
   in
   Perfgate.append_trajectory ~file:o.trajectory

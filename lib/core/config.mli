@@ -202,7 +202,8 @@ type t = {
           [examples/instrumentation.ml] *)
   profile_ib_sites : bool;
       (** instrumentation mode: give every translated indirect-branch
-          site its own execution counter; read the profile back with
+          site its own execution counter (return sites too, under every
+          return policy); read the profile back with
           {!Runtime.ib_site_profile} — the data a dynamic optimiser
           would use to pick per-site mechanisms. Distinguished by the
           "IB site profiling" test (the profile sums to the dynamic IB

@@ -74,6 +74,12 @@ let emit_site_counter (env : Env.t) ~site_pc =
   Emitter.emit em (Inst.Addi (Reg.at, Reg.at, 1));
   Emitter.emit em (Inst.Sw (Reg.at, Reg.k1, 0))
 
+(* the profiling stage of an IB site: an optional execution counter *)
+let emit_profile_stage (env : Env.t) ~site_pc =
+  if env.Env.cfg.Config.profile_ib_sites then
+    Env.observing_emit env "site counter" (fun () ->
+        emit_site_counter env ~site_pc)
+
 (* The staged IB-site pipeline: profiling stage (optional site counter),
    policy stage (the installed CFI hooks' per-site emission), prediction
    stage (optional inline target prediction), then the mechanism stage —
@@ -82,9 +88,7 @@ let emit_site_counter (env : Env.t) ~site_pc =
 let emit_mech ?(pred = false) ?cont ?(kind = Env.Ib_jump) (env : Env.t)
     ~site_pc ~tail =
   env.Env.stats.Stats.ib_sites <- env.Env.stats.Stats.ib_sites + 1;
-  if env.Env.cfg.Config.profile_ib_sites then
-    Env.observing_emit env "site counter" (fun () ->
-        emit_site_counter env ~site_pc);
+  emit_profile_stage env ~site_pc;
   Env.cfi_emit_site env ~site_pc ~kind;
   if pred && env.Env.cfg.Config.pred_depth > 0 then
     Env.observing_emit env "pred slots" (fun () ->
@@ -187,15 +191,20 @@ let translate_return (env : Env.t) ~ret ~site_pc =
       emit_mv_k0 env Reg.ra;
       emit_mech ~kind:Env.Ib_return env ~site_pc ~tail:Env.Tail_jr
   | Plan_retcache rc ->
-      (* the return mechanisms bypass emit_mech, so they run the policy
-         site stage themselves: their miss paths fall back through the
-         shared mechanism routine, where the monitor reads the site *)
+      (* the return mechanisms bypass emit_mech, so they run the
+         profiling and policy site stages themselves: their miss paths
+         fall back through the shared mechanism routine, where the
+         monitor reads the site *)
+      emit_profile_stage env ~site_pc;
       Env.cfi_emit_site env ~site_pc ~kind:Env.Ib_return;
       Retcache.emit_return_site rc env
   | Plan_shadow sh ->
+      emit_profile_stage env ~site_pc;
       Env.cfi_emit_site env ~site_pc ~kind:Env.Ib_return;
       Shadow_stack.emit_return_site sh env ~site_pc
-  | Plan_fast -> Emitter.emit env.Env.em (Inst.Jr Reg.ra)
+  | Plan_fast ->
+      emit_profile_stage env ~site_pc;
+      Emitter.emit env.Env.em (Inst.Jr Reg.ra)
 
 let block (env : Env.t) ~ret app_pc =
   match Hashtbl.find_opt env.Env.frags app_pc with

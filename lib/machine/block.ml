@@ -130,6 +130,10 @@ type cache = {
          the emitted policy checks). Host-side only. *)
   isites : (int, isite) Hashtbl.t; (* IB site pc -> counters *)
   tbl : t option array; (* indexed by (start lsr 2) land slot_mask *)
+  decode_buf : Inst.t array;
+      (* [max_len] words: {!decode_instrs} writes each block here and
+         {!compile} reads it back before returning, so one buffer serves
+         every decode of this cache *)
   (* mid-block abort rendezvous: -1 normally; an aborting store closure
      writes the count of body ops that ran (its own compile-time index
      + 1) and the executor reads-and-resets it after the body chain
@@ -159,6 +163,7 @@ let create ~regs ~counters ?timing ?(chain = true) ?(introspect = false)
     cfi_guard;
     isites = Hashtbl.create (if introspect then 64 else 1);
     tbl = Array.make slots None;
+    decode_buf = Array.make max_len Inst.Nop;
     abort = -1;
     decodes = 0;
     invalidations = 0;
@@ -216,16 +221,18 @@ let ends_block = function
   | Inst.Lb _ | Inst.Lbu _ | Inst.Sw _ | Inst.Sb _ ->
       false
 
-(* Decode the block starting at [start]. The first fetch faults exactly
-   like the per-step path would; past that, the scan stops cleanly at
-   the end of memory so a missing terminator faults only when execution
-   actually reaches the out-of-range PC (in the machine state the
-   per-step path would fault with). *)
-let decode_instrs mem start =
+(* Decode the block starting at [start] into [cache.decode_buf] and
+   return its length. The first fetch faults exactly like the per-step
+   path would; past that, the scan stops cleanly at the end of memory so
+   a missing terminator faults only when execution actually reaches the
+   out-of-range PC (in the machine state the per-step path would fault
+   with). *)
+let decode_instrs cache start =
+  let mem = cache.mem and buf = cache.decode_buf in
   let first = Memory.fetch mem start in
-  if ends_block first then [| first |]
+  buf.(0) <- first;
+  if ends_block first then 1
   else begin
-    let buf = Array.make max_len first in
     let size = Memory.size mem in
     let n = ref 1 in
     let stop = ref false in
@@ -235,7 +242,7 @@ let decode_instrs mem start =
       incr n;
       if ends_block i then stop := true
     done;
-    Array.sub buf 0 !n
+    !n
   end
 
 (* Same register-file conventions as [Machine]: slot 0 reads as zero
@@ -781,8 +788,8 @@ let compile_term cache ~pc ~nf i =
 let empty_prefix = [| 0 |]
 
 let compile cache start =
-  let instrs = decode_instrs cache.mem start in
-  let n = Array.length instrs in
+  let n = decode_instrs cache start in
+  let instrs = cache.decode_buf in
   let mygen = !(cache.gen) in
   let last = instrs.(n - 1) in
   let has_term = ends_block last in

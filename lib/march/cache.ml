@@ -9,9 +9,9 @@ type t = {
   cfg : config;
   sets : int;
   line_shift : int;
-  tags : int array;   (* sets * assoc, -1 = invalid *)
-  stamps : int array; (* LRU timestamps *)
-  mutable clock : int;
+  tags : int array;
+      (* sets * assoc, -1 = invalid; each set's ways are kept
+         most-recently-used first, so the last way is the LRU victim *)
   mutable hits : int;
   mutable misses : int;
 }
@@ -34,8 +34,6 @@ let create cfg =
     sets;
     line_shift = log2 cfg.line_bytes;
     tags = Array.make (sets * cfg.assoc) (-1);
-    stamps = Array.make (sets * cfg.assoc) 0;
-    clock = 0;
     hits = 0;
     misses = 0;
   }
@@ -48,36 +46,35 @@ let line_index t addr = addr lsr t.line_shift
    a local ref, which the compiler keeps in a register; a local
    [let rec probe] would capture [tags]/[base]/[line] in a closure that
    (without flambda) is heap-allocated on every call. The indices stay
-   in [0, sets*assoc) by construction (unsafe accesses). *)
+   in [0, sets*assoc) by construction (unsafe accesses).
+
+   Exact LRU by position: a hit on way [w] (or a miss, as if on the last
+   way, whose line is evicted) shifts ways [0, w) down by one and puts
+   [line] at way 0. Invalid ways (-1) stay behind every valid way, so a
+   set with a free way evicts a free way, as a victim scan would. *)
 let access t addr =
   let line = addr lsr t.line_shift in
   let set = line land (t.sets - 1) in
   let assoc = t.cfg.assoc in
   let base = set * assoc in
-  t.clock <- t.clock + 1;
-  let tags = t.tags and stamps = t.stamps in
-  let way = ref 0 in
-  while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
-    incr way
-  done;
-  if !way < assoc then begin
+  let tags = t.tags in
+  if Array.unsafe_get tags base = line then begin
     t.hits <- t.hits + 1;
-    Array.unsafe_set stamps (base + !way) t.clock;
     true
   end
   else begin
-    t.misses <- t.misses + 1;
-    (* evict LRU way *)
-    let victim = ref 0 in
-    for i = 1 to assoc - 1 do
-      if
-        Array.unsafe_get stamps (base + i)
-        < Array.unsafe_get stamps (base + !victim)
-      then victim := i
+    let way = ref 1 in
+    while !way < assoc && Array.unsafe_get tags (base + !way) <> line do
+      incr way
     done;
-    Array.unsafe_set tags (base + !victim) line;
-    Array.unsafe_set stamps (base + !victim) t.clock;
-    false
+    let hit = !way < assoc in
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    let w = if hit then !way else assoc - 1 in
+    for k = base + w downto base + 1 do
+      Array.unsafe_set tags k (Array.unsafe_get tags (k - 1))
+    done;
+    Array.unsafe_set tags base line;
+    hit
   end
 
 let hits t = t.hits
@@ -85,7 +82,5 @@ let misses t = t.misses
 
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0

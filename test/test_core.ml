@@ -460,23 +460,37 @@ let test_instrumentation_counts () =
   ignore sdt_res;
   check int "memop count exact" truth (Runtime.instrumented_memops rt)
 
+(* Every return policy profiles its return sites: the return cache,
+   shadow stack and fast returns bypass the shared mechanism path, so
+   each must run the profiling stage itself. A policy that rejects fast
+   returns (under SDT_CFI) skips that case. *)
 let test_ib_site_profile () =
   let program = Lazy.force torture_program in
   let m = Loader.load program in
   Machine.run ~max_steps:10_000_000 m;
   let truth = Machine.ib_dynamic_count m in
-  let cfg = { Config.default with profile_ib_sites = true; returns = Config.As_ib } in
-  let _, rt = run_sdt ~cfg program in
-  let profile = Runtime.ib_site_profile rt in
-  check bool "sites recorded" true (List.length profile > 2);
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 profile in
-  check int "profile sums to dynamic IB count" truth total;
-  (* hottest-first ordering *)
-  let rec sorted = function
-    | (_, a) :: ((_, b) :: _ as rest) -> a >= b && sorted rest
-    | _ -> true
-  in
-  check bool "sorted hottest-first" true (sorted profile)
+  List.iter
+    (fun (name, returns) ->
+      let cfg = { Config.default with profile_ib_sites = true; returns } in
+      if Result.is_ok (Config.validate cfg) then begin
+        let _, rt = run_sdt ~cfg program in
+        let profile = Runtime.ib_site_profile rt in
+        check bool (name ^ ": sites recorded") true (List.length profile > 2);
+        let total = List.fold_left (fun acc (_, n) -> acc + n) 0 profile in
+        check int (name ^ ": profile sums to dynamic IB count") truth total;
+        (* hottest-first ordering *)
+        let rec sorted = function
+          | (_, a) :: ((_, b) :: _ as rest) -> a >= b && sorted rest
+          | _ -> true
+        in
+        check bool (name ^ ": sorted hottest-first") true (sorted profile)
+      end)
+    [
+      ("as-ib", Config.As_ib);
+      ("retcache", Config.Return_cache { entries = 256 });
+      ("shadow", Config.Shadow_stack { depth = 64 });
+      ("fast", Config.Fast_return);
+    ]
 
 let test_flush_pressure () =
   (* a code region so small the fragment cache must flush repeatedly *)
