@@ -533,9 +533,6 @@ and promote_from_ic t env s =
     end
     else Site_ibtc
   in
-  if Sys.getenv_opt "SDT_ADAPT_DEBUG" <> None then
-    Printf.eprintf "ADAPT site=%#x misses=%d distinct=%d H=%.2f -> %s\n%!"
-      s.site_pc misses distinct entropy (tier_name next);
   promote t env s next
 
 and demote t env s =

@@ -107,10 +107,7 @@ let cfi_validate t ~target =
 let cfi_ret_violation t ~site_pc =
   match t.cfi with None -> () | Some h -> h.cf_ret_violation t ~site_pc
 
-let charge t n =
-  match t.machine.Machine.timing with
-  | None -> ()
-  | Some tm -> Timing.add_runtime tm n
+let charge t n = Timing.add_runtime t.machine.Machine.timing n
 
 (* Observability hooks: single [None] test when no observer is attached.
    Observation is host-side only — none of these charge cycles, emit

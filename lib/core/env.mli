@@ -159,7 +159,7 @@ val create :
     {!Config.validate}. *)
 
 val charge : t -> int -> unit
-(** Charge runtime-service cycles (no-op when untimed). *)
+(** Charge runtime-service cycles to the machine's timing model. *)
 
 (** {1 CFI policy hooks}
 

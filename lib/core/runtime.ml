@@ -198,21 +198,18 @@ let register_metrics t obs ~timing =
       Metrics.float_source m "code_occupancy" (fun () ->
           float_of_int (Emitter.used_bytes env.Env.em)
           /. float_of_int (max 1 code_capacity));
-      (match timing with
-      | None -> ()
-      | Some tm ->
-          Metrics.int_source m "runtime_cycles" (fun () ->
-              Timing.runtime_cycles tm);
-          Metrics.int_source m "icache_misses" (fun () ->
-              Timing.icache_misses tm);
-          Metrics.int_source m "dcache_misses" (fun () ->
-              Timing.dcache_misses tm);
-          Metrics.int_source m "cond_mispredicts" (fun () ->
-              Timing.cond_mispredicts tm);
-          Metrics.int_source m "indirect_mispredicts" (fun () ->
-              Timing.indirect_mispredicts tm);
-          Metrics.int_source m "ras_mispredicts" (fun () ->
-              Timing.ras_mispredicts tm));
+      Metrics.int_source m "runtime_cycles" (fun () ->
+          Timing.runtime_cycles timing);
+      Metrics.int_source m "icache_misses" (fun () ->
+          Timing.icache_misses timing);
+      Metrics.int_source m "dcache_misses" (fun () ->
+          Timing.dcache_misses timing);
+      Metrics.int_source m "cond_mispredicts" (fun () ->
+          Timing.cond_mispredicts timing);
+      Metrics.int_source m "indirect_mispredicts" (fun () ->
+          Timing.indirect_mispredicts timing);
+      Metrics.int_source m "ras_mispredicts" (fun () ->
+          Timing.ras_mispredicts timing);
       match t.mech with
       | M_dispatch -> ()
       | M_ibtc i ->
@@ -241,26 +238,30 @@ let register_metrics t obs ~timing =
             (Adapt.mech_stats a)
 
 let install_probes obs ~timing =
-  match timing with
-  | None -> ()
-  | Some tm ->
-      Timing.set_probe tm
-        (Some
-           (fun ~pc ev ~cycles ->
-             Observer.step obs ~pc ~cycles;
-             match ev with
-             | Timing.Icall { pc; target; _ }
-             | Timing.Ijump { pc; target }
-             | Timing.Return { pc; target } ->
-                 Observer.ib_transfer obs ~pc ~target
-             | _ -> ()));
-      Timing.set_runtime_probe tm (Some (fun n -> Observer.runtime_cycles obs n))
+  Timing.set_probe timing
+    (Some
+       (fun ~pc ev ~cycles ->
+         Observer.step obs ~pc ~cycles;
+         match ev with
+         | Timing.Icall { pc; target; _ }
+         | Timing.Ijump { pc; target }
+         | Timing.Return { pc; target } ->
+             Observer.ib_transfer obs ~pc ~target
+         | _ -> ()));
+  Timing.set_runtime_probe timing (Some (fun n -> Observer.runtime_cycles obs n))
 
-let create ~cfg ~arch ?timing ?observer (program : Program.t) =
+let create ~cfg ~arch ?(timing = Timing.create arch) ?observer
+    (program : Program.t) =
+  (* translation follows [arch] and cycles are charged to [timing]'s
+     arch: two different ones would measure neither *)
+  if Timing.arch timing <> arch then
+    invalid_arg
+      (Printf.sprintf "Runtime.create: ~arch is %s but ~timing models %s"
+         arch.Arch.name (Timing.arch timing).Arch.name);
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> error "invalid configuration: %s" msg);
-  let machine = Loader.load ?timing program in
+  let machine = Loader.load ~timing program in
   let layout =
     Layout.create
       ~mem_size:(Memory.size machine.Machine.mem)

@@ -27,16 +27,19 @@ val create :
   Program.t ->
   t
 (** Load the program, emit the shared routines, and install the trap
-    handler. The machine is not started yet.
+    handler. The machine is not started yet. Every cycle is charged to
+    [timing], by default a fresh [Timing.create arch].
 
     When an [observer] is attached it is wired before any code is
     emitted: translator hooks report events and code regions to it, the
     standard metric sources (stats counters, fragment/code occupancy,
     timing counters, mechanism gauges such as IBTC occupancy and hit
-    rate) are registered with its metrics layer, and — if [timing] is
-    also given — the cycle accountant's probes feed it per-instruction
-    attribution. Observation is host-side only: an observed run is
-    cycle-for-cycle identical to an unobserved one.
+    rate) are registered with its metrics layer, and the cycle
+    accountant's probes feed it per-instruction attribution.
+    Observation is host-side only: an observed run is cycle-for-cycle
+    identical to an unobserved one.
+    @raise Invalid_argument if [timing] models an arch other than
+    [arch] (translation would follow one and cycles the other);
     @raise Error on an invalid configuration. *)
 
 val run :

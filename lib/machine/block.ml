@@ -55,8 +55,7 @@ type t = {
   mutable static_cycles : int;
   (* cyc_prefix.(k) = static cycles of the first [k] body ops: after a
      mid-block store abort that executed [k] ops, the over-charge
-     backed out is [static_cycles - cyc_prefix.(k)]. [||] for untimed
-     machines. *)
+     backed out is [static_cycles - cyc_prefix.(k)] *)
   mutable cyc_prefix : int array;
 }
 
@@ -120,7 +119,7 @@ type cache = {
   mem : Memory.t;
   regs : int array;
   c : Counters.t;
-  tm : Timing.t option;
+  tm : Timing.t;
   gen : int ref; (* {!Memory.code_gen_ref}: shared with the store guards *)
   chain : bool;
   introspect : bool;
@@ -150,7 +149,7 @@ type cache = {
    compilation after self-modification stays cheap. *)
 let max_len = 64
 
-let create ~regs ~counters ?timing ?(chain = true) ?(introspect = false)
+let create ~regs ~counters ~timing ?(chain = true) ?(introspect = false)
     ?cfi_guard mem =
   {
     mem;
@@ -255,120 +254,8 @@ let[@inline] rget regs r = Array.unsafe_get regs r
 let[@inline] rset regs r v =
   if r <> 0 then Array.unsafe_set regs r (v land Word.mask)
 
-(* Untimed body execution, shared by every untimed closure: machines
-   without a timing model (tests, tools) are not on the benchmark hot
-   path, so one residual match per instruction beats thirty more
-   closure bodies. Returns [false] iff a store bumped the generation
-   past [mygen]. *)
-let exec_body_untimed regs mem (c : Counters.t) gen mygen i =
-  match i with
-  | Inst.Nop -> true
-  | Inst.Add (rd, rs, rt) ->
-      rset regs rd (Word.add (rget regs rs) (rget regs rt));
-      true
-  | Inst.Sub (rd, rs, rt) ->
-      rset regs rd (Word.sub (rget regs rs) (rget regs rt));
-      true
-  | Inst.Mul (rd, rs, rt) ->
-      rset regs rd (Word.mul (rget regs rs) (rget regs rt));
-      true
-  | Inst.Div (rd, rs, rt) ->
-      rset regs rd (Word.sdiv (rget regs rs) (rget regs rt));
-      true
-  | Inst.Rem (rd, rs, rt) ->
-      rset regs rd (Word.srem (rget regs rs) (rget regs rt));
-      true
-  | Inst.And (rd, rs, rt) ->
-      rset regs rd (Word.logand (rget regs rs) (rget regs rt));
-      true
-  | Inst.Or (rd, rs, rt) ->
-      rset regs rd (Word.logor (rget regs rs) (rget regs rt));
-      true
-  | Inst.Xor (rd, rs, rt) ->
-      rset regs rd (Word.logxor (rget regs rs) (rget regs rt));
-      true
-  | Inst.Nor (rd, rs, rt) ->
-      rset regs rd (Word.lognot (Word.logor (rget regs rs) (rget regs rt)));
-      true
-  | Inst.Slt (rd, rs, rt) ->
-      rset regs rd (if Word.lt_s (rget regs rs) (rget regs rt) then 1 else 0);
-      true
-  | Inst.Sltu (rd, rs, rt) ->
-      rset regs rd (if Word.lt_u (rget regs rs) (rget regs rt) then 1 else 0);
-      true
-  | Inst.Sllv (rd, rt, rs) ->
-      rset regs rd (Word.shl (rget regs rt) (rget regs rs));
-      true
-  | Inst.Srlv (rd, rt, rs) ->
-      rset regs rd (Word.shr_l (rget regs rt) (rget regs rs));
-      true
-  | Inst.Srav (rd, rt, rs) ->
-      rset regs rd (Word.shr_a (rget regs rt) (rget regs rs));
-      true
-  | Inst.Sll (rd, rt, sh) ->
-      rset regs rd (Word.shl (rget regs rt) sh);
-      true
-  | Inst.Srl (rd, rt, sh) ->
-      rset regs rd (Word.shr_l (rget regs rt) sh);
-      true
-  | Inst.Sra (rd, rt, sh) ->
-      rset regs rd (Word.shr_a (rget regs rt) sh);
-      true
-  | Inst.Addi (rt, rs, imm) ->
-      rset regs rt (Word.add (rget regs rs) (Word.of_signed imm));
-      true
-  | Inst.Slti (rt, rs, imm) ->
-      rset regs rt
-        (if Word.lt_s (rget regs rs) (Word.of_signed imm) then 1 else 0);
-      true
-  | Inst.Sltiu (rt, rs, imm) ->
-      rset regs rt
-        (if Word.lt_u (rget regs rs) (Word.of_signed imm) then 1 else 0);
-      true
-  | Inst.Andi (rt, rs, imm) ->
-      rset regs rt (Word.logand (rget regs rs) imm);
-      true
-  | Inst.Ori (rt, rs, imm) ->
-      rset regs rt (Word.logor (rget regs rs) imm);
-      true
-  | Inst.Xori (rt, rs, imm) ->
-      rset regs rt (Word.logxor (rget regs rs) imm);
-      true
-  | Inst.Lui (rt, imm) ->
-      rset regs rt (imm lsl 16);
-      true
-  | Inst.Lw (rt, rs, off) ->
-      let addr = Word.add (rget regs rs) (Word.of_signed off) in
-      rset regs rt (Memory.load_word mem addr);
-      c.loads <- c.loads + 1;
-      true
-  | Inst.Lb (rt, rs, off) ->
-      let addr = Word.add (rget regs rs) (Word.of_signed off) in
-      rset regs rt (Memory.load_byte_s mem addr);
-      c.loads <- c.loads + 1;
-      true
-  | Inst.Lbu (rt, rs, off) ->
-      let addr = Word.add (rget regs rs) (Word.of_signed off) in
-      rset regs rt (Memory.load_byte_u mem addr);
-      c.loads <- c.loads + 1;
-      true
-  | Inst.Sw (rt, rs, off) ->
-      let addr = Word.add (rget regs rs) (Word.of_signed off) in
-      Memory.store_word mem addr (rget regs rt);
-      c.stores <- c.stores + 1;
-      !gen = mygen
-  | Inst.Sb (rt, rs, off) ->
-      let addr = Word.add (rget regs rs) (Word.of_signed off) in
-      Memory.store_byte mem addr (rget regs rt);
-      c.stores <- c.stores + 1;
-      !gen = mygen
-  | Inst.Beq _ | Inst.Bne _ | Inst.Blt _ | Inst.Bge _ | Inst.Bltu _
-  | Inst.Bgeu _ | Inst.J _ | Inst.Jal _ | Inst.Jr _ | Inst.Jalr _
-  | Inst.Syscall | Inst.Trap _ | Inst.Halt | Inst.Illegal _ ->
-      assert false (* terminators are compiled separately *)
-
-(* Compile one body (non-terminator) instruction at [pc] under timing
-   model [tm]. Base costs are NOT charged here — they are folded into
+(* Compile one body (non-terminator) instruction at [pc] under the
+   cache's timing model. Base costs are NOT charged here — they are folded into
    the block's batched [static_cycles] — so a closure only performs the
    architectural effect plus whatever probes can change state: the
    fetch probe when [nf] ("need fetch") is true, i.e. the arch has an
@@ -380,11 +267,12 @@ let exec_body_untimed regs mem (c : Counters.t) gen mygen i =
    the block; [mygen] guards stores, which on a generation bump record
    [ab] (their op index + 1 = ops executed) in [cache.abort] and drop
    the rest of the chain (see above). *)
-let op_timed cache tm ~pc ~nf ~mygen ~ab ~next i : unit -> unit =
+let compile_op cache ~pc ~nf ~mygen ~ab ~next i : unit -> unit =
   let regs = cache.regs in
   let mem = cache.mem in
   let c = cache.c in
   let gen = cache.gen in
+  let tm = cache.tm in
   let dc = (Timing.arch tm).Arch.dcache <> None in
   match i with
   | Inst.Nop ->
@@ -630,33 +518,23 @@ let compile_term cache ~pc ~nf i =
   let regs = cache.regs in
   let c = cache.c in
   let tm = cache.tm in
-  let has_ras =
-    match tm with None -> false | Some tm -> (Timing.arch tm).Arch.ras_depth > 0
-  in
-  let has_cond =
-    match tm with None -> false | Some tm -> (Timing.arch tm).Arch.cond_bits > 0
-  in
+  let has_ras = (Timing.arch tm).Arch.ras_depth > 0 in
+  let has_cond = (Timing.arch tm).Arch.cond_bits > 0 in
   let next = pc + 4 in
   let cond_exec op rs rt =
-    match tm with
-    | None ->
-        fun () ->
-          c.cond_branches <- c.cond_branches + 1;
-          op (rget regs rs) (rget regs rt)
-    | Some tm when has_cond ->
-        fun () ->
-          let taken = op (rget regs rs) (rget regs rt) in
-          c.cond_branches <- c.cond_branches + 1;
-          if nf then Timing.fetch_np tm ~pc;
-          Timing.cond_pred_np tm ~pc ~taken;
-          taken
-    | Some tm ->
-        (* predictor-free arch: only the fetch probe can have effect *)
-        fun () ->
-          let taken = op (rget regs rs) (rget regs rt) in
-          c.cond_branches <- c.cond_branches + 1;
-          if nf then Timing.fetch_np tm ~pc;
-          taken
+    if has_cond then fun () ->
+      let taken = op (rget regs rs) (rget regs rt) in
+      c.cond_branches <- c.cond_branches + 1;
+      if nf then Timing.fetch_np tm ~pc;
+      Timing.cond_pred_np tm ~pc ~taken;
+      taken
+    else
+      (* predictor-free arch: only the fetch probe can have effect *)
+      fun () ->
+        let taken = op (rget regs rs) (rget regs rt) in
+        c.cond_branches <- c.cond_branches + 1;
+        if nf then Timing.fetch_np tm ~pc;
+        taken
   in
   let cond op rs rt off =
     T_cond
@@ -690,92 +568,59 @@ let compile_term cache ~pc ~nf i =
   | Inst.J target ->
       let abs = (next land 0xF000_0000) lor (target lsl 2) in
       let exec =
-        match tm with
-        | None -> fun () -> c.jumps <- c.jumps + 1
-        | Some tm when nf ->
-            fun () ->
-              c.jumps <- c.jumps + 1;
-              Timing.fetch_np tm ~pc
-        | Some _ ->
-            (* branch base cost batched, no fetch needed: pure count *)
-            fun () -> c.jumps <- c.jumps + 1
+        if nf then fun () ->
+          c.jumps <- c.jumps + 1;
+          Timing.fetch_np tm ~pc
+        else
+          (* branch base cost batched, no fetch needed: pure count *)
+          fun () -> c.jumps <- c.jumps + 1
       in
       T_static { s_exec = exec; s_target = abs; s_link = None }
   | Inst.Jal target ->
       let abs = (next land 0xF000_0000) lor (target lsl 2) in
       let exec =
-        match tm with
-        | None ->
-            fun () ->
-              c.calls <- c.calls + 1;
-              rset regs Reg.ra next
-        | Some tm when has_ras ->
-            fun () ->
-              c.calls <- c.calls + 1;
-              rset regs Reg.ra next;
-              if nf then Timing.fetch_np tm ~pc;
-              Timing.ras_push_np tm ~next
-        | Some tm ->
-            fun () ->
-              c.calls <- c.calls + 1;
-              rset regs Reg.ra next;
-              if nf then Timing.fetch_np tm ~pc
+        if has_ras then fun () ->
+          c.calls <- c.calls + 1;
+          rset regs Reg.ra next;
+          if nf then Timing.fetch_np tm ~pc;
+          Timing.ras_push_np tm ~next
+        else fun () ->
+          c.calls <- c.calls + 1;
+          rset regs Reg.ra next;
+          if nf then Timing.fetch_np tm ~pc
       in
       T_static { s_exec = exec; s_target = abs; s_link = None }
   | Inst.Jr rs when rs = Reg.ra ->
-      indirect
-        (match tm with
-        | None ->
-            fun () ->
-              c.returns <- c.returns + 1;
-              rget regs rs
-        | Some tm ->
-            fun () ->
-              let target = rget regs rs in
-              c.returns <- c.returns + 1;
-              if nf then Timing.fetch_np tm ~pc;
-              Timing.return_pred_np tm ~pc ~target;
-              target)
+      indirect (fun () ->
+          let target = rget regs rs in
+          c.returns <- c.returns + 1;
+          if nf then Timing.fetch_np tm ~pc;
+          Timing.return_pred_np tm ~pc ~target;
+          target)
   | Inst.Jr rs ->
-      indirect
-        (match tm with
-        | None ->
-            fun () ->
-              c.ijumps <- c.ijumps + 1;
-              rget regs rs
-        | Some tm ->
-            fun () ->
-              let target = rget regs rs in
-              c.ijumps <- c.ijumps + 1;
-              if nf then Timing.fetch_np tm ~pc;
-              Timing.ipred_np tm ~pc ~target;
-              target)
+      indirect (fun () ->
+          let target = rget regs rs in
+          c.ijumps <- c.ijumps + 1;
+          if nf then Timing.fetch_np tm ~pc;
+          Timing.ipred_np tm ~pc ~target;
+          target)
   | Inst.Jalr (rd, rs) ->
+      (* read [rs] before writing [rd]: rd = rs is legal *)
       indirect
-        (match tm with
-        | None ->
-            fun () ->
-              let target = rget regs rs in
-              (* read [rs] before writing [rd]: rd = rs is legal *)
-              c.icalls <- c.icalls + 1;
-              rset regs rd next;
-              target
-        | Some tm when has_ras ->
-            fun () ->
-              let target = rget regs rs in
-              c.icalls <- c.icalls + 1;
-              rset regs rd next;
-              if nf then Timing.fetch_np tm ~pc;
-              Timing.icall_pred_np tm ~pc ~target ~next;
-              target
-        | Some tm ->
-            fun () ->
-              let target = rget regs rs in
-              c.icalls <- c.icalls + 1;
-              rset regs rd next;
-              if nf then Timing.fetch_np tm ~pc;
-              Timing.ipred_np tm ~pc ~target;
-              target)
+        (if has_ras then fun () ->
+           let target = rget regs rs in
+           c.icalls <- c.icalls + 1;
+           rset regs rd next;
+           if nf then Timing.fetch_np tm ~pc;
+           Timing.icall_pred_np tm ~pc ~target ~next;
+           target
+         else fun () ->
+           let target = rget regs rs in
+           c.icalls <- c.icalls + 1;
+           rset regs rd next;
+           if nf then Timing.fetch_np tm ~pc;
+           Timing.ipred_np tm ~pc ~target;
+           target)
   | Inst.Syscall | Inst.Trap _ | Inst.Halt | Inst.Illegal _ -> T_stop i
   | _ -> assert false (* straight-line shapes never terminate a block *)
 
@@ -785,8 +630,6 @@ let compile_term cache ~pc ~nf i =
    is the one every word of the block was decoded under — and going
    through [fetch] is also what gives each word a live decode-cache
    entry, making a later store into any of them bump the generation. *)
-let empty_prefix = [| 0 |]
-
 let compile cache start =
   let n = decode_instrs cache start in
   let instrs = cache.decode_buf in
@@ -794,48 +637,27 @@ let compile cache start =
   let last = instrs.(n - 1) in
   let has_term = ends_block last in
   let nbody = if has_term then n - 1 else n in
+  let tm = cache.tm in
+  let a = Timing.arch tm in
   let need_fetch k =
-    match cache.tm with
-    | None -> true (* irrelevant: untimed closures charge nothing *)
-    | Some tm ->
-        (Timing.arch tm).Arch.icache <> None
-        &&
-        (k = 0
-        ||
-        let pc = start + (4 * k) in
-        not (Timing.same_line tm pc (pc - 4)))
+    a.Arch.icache <> None
+    &&
+    (k = 0
+    ||
+    let pc = start + (4 * k) in
+    not (Timing.same_line tm pc (pc - 4)))
   in
   (* thread the body back-to-front: op [k] captures the compiled chain
      of ops [k+1 ..] and tail-calls it, so the whole body is one entry
      call; [noop] terminates the chain *)
-  let body =
-    match cache.tm with
-    | None ->
-        let regs = cache.regs
-        and mem = cache.mem
-        and c = cache.c
-        and gen = cache.gen in
-        let rec build k next =
-          if k < 0 then next
-          else
-            let i = Array.unsafe_get instrs k in
-            let ab = k + 1 in
-            build (k - 1) (fun () ->
-                if exec_body_untimed regs mem c gen mygen i then next ()
-                else cache.abort <- ab)
-        in
-        build (nbody - 1) noop
-    | Some tm ->
-        let rec build k next =
-          if k < 0 then next
-          else
-            build (k - 1)
-              (op_timed cache tm ~pc:(start + (4 * k)) ~nf:(need_fetch k)
-                 ~mygen ~ab:(k + 1) ~next
-                 (Array.unsafe_get instrs k))
-        in
-        build (nbody - 1) noop
+  let rec build k next =
+    if k < 0 then next
+    else
+      build (k - 1)
+        (compile_op cache ~pc:(start + (4 * k)) ~nf:(need_fetch k) ~mygen
+           ~ab:(k + 1) ~next (Array.unsafe_get instrs k))
   in
+  let body = build (nbody - 1) noop in
   let term =
     if has_term then
       compile_term cache ~pc:(start + (4 * (n - 1))) ~nf:(need_fetch (n - 1)) last
@@ -845,18 +667,11 @@ let compile cache start =
          instruction effects of its own *)
       T_static { s_exec = noop; s_target = start + (4 * n); s_link = None }
   in
-  let static, prefix =
-    match cache.tm with
-    | None -> (0, empty_prefix)
-    | Some tm ->
-        let a = Timing.arch tm in
-        let prefix = Array.make (nbody + 1) 0 in
-        for k = 0 to nbody - 1 do
-          prefix.(k + 1) <- prefix.(k) + static_cost a instrs.(k)
-        done;
-        let t_static = if has_term then term_static a last else 0 in
-        (prefix.(nbody) + t_static, prefix)
-  in
+  let prefix = Array.make (nbody + 1) 0 in
+  for k = 0 to nbody - 1 do
+    prefix.(k + 1) <- prefix.(k) + static_cost a instrs.(k)
+  done;
+  let static = prefix.(nbody) + if has_term then term_static a last else 0 in
   (body, term, mygen, n, static, prefix)
 
 let fresh cache start =

@@ -52,7 +52,7 @@ type t = {
           executor charges it with one [Timing.charge] at block entry —
           cycle totals are order-independent sums, so the batching is
           bit-exact. [T_stop] terminators contribute nothing (they
-          charge through [Machine.exec]); 0 on untimed machines. *)
+          charge through [Machine.exec]). *)
   mutable cyc_prefix : int array;
       (** [cyc_prefix.(k)] = static cycles of the first [k] body ops: a
           mid-block store abort that executed [k] ops backs out the
@@ -110,7 +110,7 @@ val slots : int
 val create :
   regs:int array ->
   counters:Counters.t ->
-  ?timing:Sdt_march.Timing.t ->
+  timing:Sdt_march.Timing.t ->
   ?chain:bool ->
   ?introspect:bool ->
   ?cfi_guard:(int -> bool) ->
@@ -118,7 +118,9 @@ val create :
   cache
 (** A block cache compiling against the given machine state. The
     register file, counters, and timing model are captured inside the
-    compiled closures, so a cache serves exactly one machine. [chain]
+    compiled closures, so a cache serves exactly one machine; the
+    closures call only the probes [timing]'s arch has (none at all on
+    [Arch.ideal]). [chain]
     (default [true]) controls whether successor links are installed;
     with it off every transition re-probes via {!find} — the
     differential-testing mode. [introspect] (default [false]) attaches

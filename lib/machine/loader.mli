@@ -21,4 +21,5 @@ val default_stack_top : int
 val load :
   ?mem_size:int -> ?stack_top:int -> ?timing:Timing.t -> Program.t -> Machine.t
 (** Build a machine, copy the program's segments in, point [$sp] at the
-    stack top and the PC at the entry. *)
+    stack top and the PC at the entry. The machine charges its cycles
+    to [timing], by default a fresh [Timing.create Arch.ideal]. *)

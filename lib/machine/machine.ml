@@ -1,6 +1,7 @@
 module Word = Sdt_isa.Word
 module Reg = Sdt_isa.Reg
 module Inst = Sdt_isa.Inst
+module Arch = Sdt_march.Arch
 module Timing = Sdt_march.Timing
 
 exception Error of string
@@ -25,7 +26,7 @@ type t = {
   mem : Memory.t;
   regs : int array;
   mutable pc : int;
-  timing : Timing.t option;
+  timing : Timing.t;
   mutable status : status;
   out : Buffer.t;
   mutable checksum : int;
@@ -41,7 +42,7 @@ let no_handler _ ~code ~trap_pc =
     (Error
        (Printf.sprintf "trap %d at %#x with no handler installed" code trap_pc))
 
-let create ?timing ~mem_size () =
+let create ?(timing = Timing.create Arch.ideal) ~mem_size () =
   {
     mem = Memory.create ~size_bytes:mem_size;
     regs = Array.make 32 0;
@@ -97,51 +98,6 @@ let do_syscall t =
   in
   Syscall.perform env
 
-(* Module-level so the per-step timing calls allocate no closures; the
-   [None] branch makes an untimed machine (tests, tools) cost one
-   compare per instruction. *)
-let[@inline] ev_alu tm pc =
-  match tm with None -> () | Some x -> Timing.alu x ~pc
-
-let[@inline] ev_mul tm pc =
-  match tm with None -> () | Some x -> Timing.mul x ~pc
-
-let[@inline] ev_div tm pc =
-  match tm with None -> () | Some x -> Timing.div x ~pc
-
-let[@inline] ev_load tm pc addr =
-  match tm with None -> () | Some x -> Timing.load x ~pc ~addr
-
-let[@inline] ev_store tm pc addr =
-  match tm with None -> () | Some x -> Timing.store x ~pc ~addr
-
-let[@inline] ev_cond tm pc taken =
-  match tm with None -> () | Some x -> Timing.cond x ~pc ~taken
-
-let[@inline] ev_jump tm pc =
-  match tm with None -> () | Some x -> Timing.jump x ~pc
-
-let[@inline] ev_call tm pc next =
-  match tm with None -> () | Some x -> Timing.call x ~pc ~next
-
-let[@inline] ev_icall tm pc target next =
-  match tm with None -> () | Some x -> Timing.icall x ~pc ~target ~next
-
-let[@inline] ev_ijump tm pc target =
-  match tm with None -> () | Some x -> Timing.ijump x ~pc ~target
-
-let[@inline] ev_return tm pc target =
-  match tm with None -> () | Some x -> Timing.return x ~pc ~target
-
-let[@inline] ev_syscall tm pc =
-  match tm with None -> () | Some x -> Timing.syscall_op x ~pc
-
-let[@inline] ev_trap tm pc =
-  match tm with None -> () | Some x -> Timing.trap_op x ~pc
-
-let[@inline] ev_halt tm pc =
-  match tm with None -> () | Some x -> Timing.halt_op x ~pc
-
 (* Register file accessors at module level: defining them inside the
    execution loop allocated two closures per executed instruction. *)
 let[@inline] rget regs r = if r = 0 then 0 else Array.unsafe_get regs r
@@ -153,214 +109,215 @@ let[@inline] rset regs r v =
    Shared by the per-step path ({!step}) and the block executor; every
    arm assigns [t.pc] itself so fall-through and transfers look the
    same to both callers. *)
-let exec t tm i pc =
+let exec t i pc =
   let next = pc + 4 in
   let regs = t.regs in
   let c = t.c in
+  let tm = t.timing in
   match i with
   | Inst.Nop ->
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Add (rd, rs, rt) ->
       rset regs rd (Word.add (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sub (rd, rs, rt) ->
       rset regs rd (Word.sub (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Mul (rd, rs, rt) ->
       rset regs rd (Word.mul (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_mul tm pc
+      Timing.mul tm ~pc
   | Inst.Div (rd, rs, rt) ->
       rset regs rd (Word.sdiv (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_div tm pc
+      Timing.div tm ~pc
   | Inst.Rem (rd, rs, rt) ->
       rset regs rd (Word.srem (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_div tm pc
+      Timing.div tm ~pc
   | Inst.And (rd, rs, rt) ->
       rset regs rd (Word.logand (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Or (rd, rs, rt) ->
       rset regs rd (Word.logor (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Xor (rd, rs, rt) ->
       rset regs rd (Word.logxor (rget regs rs) (rget regs rt));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Nor (rd, rs, rt) ->
       rset regs rd (Word.lognot (Word.logor (rget regs rs) (rget regs rt)));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Slt (rd, rs, rt) ->
       rset regs rd (if Word.lt_s (rget regs rs) (rget regs rt) then 1 else 0);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sltu (rd, rs, rt) ->
       rset regs rd (if Word.lt_u (rget regs rs) (rget regs rt) then 1 else 0);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sllv (rd, rt, rs) ->
       rset regs rd (Word.shl (rget regs rt) (rget regs rs));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Srlv (rd, rt, rs) ->
       rset regs rd (Word.shr_l (rget regs rt) (rget regs rs));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Srav (rd, rt, rs) ->
       rset regs rd (Word.shr_a (rget regs rt) (rget regs rs));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sll (rd, rt, sh) ->
       rset regs rd (Word.shl (rget regs rt) sh);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Srl (rd, rt, sh) ->
       rset regs rd (Word.shr_l (rget regs rt) sh);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sra (rd, rt, sh) ->
       rset regs rd (Word.shr_a (rget regs rt) sh);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Addi (rt, rs, imm) ->
       rset regs rt (Word.add (rget regs rs) (Word.of_signed imm));
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Slti (rt, rs, imm) ->
       rset regs rt
         (if Word.lt_s (rget regs rs) (Word.of_signed imm) then 1 else 0);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Sltiu (rt, rs, imm) ->
       rset regs rt
         (if Word.lt_u (rget regs rs) (Word.of_signed imm) then 1 else 0);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Andi (rt, rs, imm) ->
       rset regs rt (Word.logand (rget regs rs) imm);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Ori (rt, rs, imm) ->
       rset regs rt (Word.logor (rget regs rs) imm);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Xori (rt, rs, imm) ->
       rset regs rt (Word.logxor (rget regs rs) imm);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Lui (rt, imm) ->
       rset regs rt (imm lsl 16);
       t.pc <- next;
-      ev_alu tm pc
+      Timing.alu tm ~pc
   | Inst.Lw (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       rset regs rt (Memory.load_word t.mem addr);
       c.loads <- c.loads + 1;
       t.pc <- next;
-      ev_load tm pc addr
+      Timing.load tm ~pc ~addr
   | Inst.Lb (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       rset regs rt (Memory.load_byte_s t.mem addr);
       c.loads <- c.loads + 1;
       t.pc <- next;
-      ev_load tm pc addr
+      Timing.load tm ~pc ~addr
   | Inst.Lbu (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       rset regs rt (Memory.load_byte_u t.mem addr);
       c.loads <- c.loads + 1;
       t.pc <- next;
-      ev_load tm pc addr
+      Timing.load tm ~pc ~addr
   | Inst.Sw (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       Memory.store_word t.mem addr (rget regs rt);
       c.stores <- c.stores + 1;
       t.pc <- next;
-      ev_store tm pc addr
+      Timing.store tm ~pc ~addr
   | Inst.Sb (rt, rs, off) ->
       let addr = Word.add (rget regs rs) (Word.of_signed off) in
       Memory.store_byte t.mem addr (rget regs rt);
       c.stores <- c.stores + 1;
       t.pc <- next;
-      ev_store tm pc addr
+      Timing.store tm ~pc ~addr
   | Inst.Beq (rs, rt, off) ->
       let taken = rget regs rs = rget regs rt in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.Bne (rs, rt, off) ->
       let taken = rget regs rs <> rget regs rt in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.Blt (rs, rt, off) ->
       let taken = Word.lt_s (rget regs rs) (rget regs rt) in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.Bge (rs, rt, off) ->
       let taken = not (Word.lt_s (rget regs rs) (rget regs rt)) in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.Bltu (rs, rt, off) ->
       let taken = Word.lt_u (rget regs rs) (rget regs rt) in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.Bgeu (rs, rt, off) ->
       let taken = not (Word.lt_u (rget regs rs) (rget regs rt)) in
       c.cond_branches <- c.cond_branches + 1;
       t.pc <- (if taken then next + (off * 4) else next);
-      ev_cond tm pc taken
+      Timing.cond tm ~pc ~taken
   | Inst.J target ->
       c.jumps <- c.jumps + 1;
       t.pc <- (next land 0xF000_0000) lor (target lsl 2);
-      ev_jump tm pc
+      Timing.jump tm ~pc
   | Inst.Jal target ->
       c.calls <- c.calls + 1;
       rset regs Reg.ra next;
       t.pc <- (next land 0xF000_0000) lor (target lsl 2);
-      ev_call tm pc next
+      Timing.call tm ~pc ~next
   | Inst.Jr rs ->
       let target = rget regs rs in
       t.pc <- target;
       if rs = Reg.ra then begin
         c.returns <- c.returns + 1;
-        ev_return tm pc target
+        Timing.return tm ~pc ~target
       end
       else begin
         c.ijumps <- c.ijumps + 1;
-        ev_ijump tm pc target
+        Timing.ijump tm ~pc ~target
       end
   | Inst.Jalr (rd, rs) ->
       let target = rget regs rs in
       c.icalls <- c.icalls + 1;
       rset regs rd next;
       t.pc <- target;
-      ev_icall tm pc target next
+      Timing.icall tm ~pc ~target ~next
   | Inst.Syscall ->
       do_syscall t;
       t.pc <- next;
-      ev_syscall tm pc
+      Timing.syscall_op tm ~pc
   | Inst.Trap code ->
       (* the trap op is charged before the handler runs, so traces show
          the trap instruction ahead of the translator's service cycles
          it triggers (the handler charges only runtime cycles, so the
          totals are order-independent) *)
       c.traps <- c.traps + 1;
-      ev_trap tm pc;
+      Timing.trap_op tm ~pc;
       t.pc <- poison_pc;
       t.trap_handler t ~code ~trap_pc:pc
   | Inst.Halt ->
       t.status <- Exited 0;
-      ev_halt tm pc
+      Timing.halt_op tm ~pc
   | Inst.Illegal w ->
       raise (Error (Printf.sprintf "illegal instruction %#x at %#x" w pc))
 
@@ -371,7 +328,7 @@ let step t =
       let pc = t.pc in
       let i = Memory.fetch t.mem pc in
       t.c.instructions <- t.c.instructions + 1;
-      exec t t.timing i pc
+      exec t i pc
 
 let run ?(max_steps = 1_000_000_000) t =
   let steps = ref 0 in
@@ -400,10 +357,7 @@ let run ?(max_steps = 1_000_000_000) t =
 let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
   (* an installed probe expects per-instruction metric sampling
      granularity; keep the observer's view on the per-step path *)
-  let probed =
-    match t.timing with Some tm -> Timing.has_probe tm | None -> false
-  in
-  if probed then run ~max_steps t
+  if Timing.has_probe t.timing then run ~max_steps t
   else begin
     let cache =
       match t.bcache with
@@ -412,14 +366,14 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
           c
       | _ ->
           let c =
-            Block.create ~regs:t.regs ~counters:t.c ?timing:t.timing ~chain
+            Block.create ~regs:t.regs ~counters:t.c ~timing:t.timing ~chain
               ~introspect:t.binspect ?cfi_guard:t.cfi_guard t.mem
           in
           t.bcache <- Some c;
           c
     in
     let c = t.c in
-    let tmo = t.timing in
+    let tm = t.timing in
     (* [chain_loop] walks the chain; anything that needs a fresh probe
        from [t.pc] (a [T_stop], a mid-block abort, the step limit)
        returns the accumulated step count and re-enters through the
@@ -432,9 +386,7 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
          penalties are attributed inside the compiled closures as on
          the per-step path *)
       c.instructions <- c.instructions + ni;
-      (match tmo with
-      | Some tm -> Timing.charge tm blk.Block.static_cycles
-      | None -> ());
+      Timing.charge tm blk.Block.static_cycles;
       blk.Block.body ();
       let aborted = Block.aborted_ops cache in
       if aborted >= 0 then begin
@@ -443,12 +395,9 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
            executed instructions (count and batched cycles) and
            re-probe from the continuation *)
         c.instructions <- c.instructions - (ni - aborted);
-        (match tmo with
-        | Some tm ->
-            Timing.charge tm
-              (Array.unsafe_get blk.Block.cyc_prefix aborted
-              - blk.Block.static_cycles)
-        | None -> ());
+        Timing.charge tm
+          (Array.unsafe_get blk.Block.cyc_prefix aborted
+          - blk.Block.static_cycles);
         t.pc <- blk.Block.start + (4 * aborted);
         steps + aborted
       end
@@ -474,7 +423,7 @@ let run_blocks ?(max_steps = 1_000_000_000) ?(chain = true) t =
               chain_loop (Block.follow_indirect cache ind target) steps
             else steps
         | Block.T_stop i ->
-            exec t tmo i (blk.Block.start + (4 * (ni - 1)));
+            exec t i (blk.Block.start + (4 * (ni - 1)));
             steps
       end
     in

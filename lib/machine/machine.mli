@@ -1,6 +1,6 @@
 (** The VIA functional simulator.
 
-    A machine is registers + PC + {!Memory.t} + an optional
+    A machine is registers + PC + {!Memory.t} + a
     {!Sdt_march.Timing.t} accountant, driven by {!step}/{!run}. The same
     machine executes both native application code and translator-emitted
     fragment code — translated execution is ordinary execution whose PC
@@ -39,7 +39,7 @@ type t = {
   mem : Memory.t;
   regs : int array;  (** 32 words; slot 0 reads as 0 and ignores writes *)
   mutable pc : int;
-  timing : Timing.t option;
+  timing : Timing.t;
   mutable status : status;
   out : Buffer.t;
   mutable checksum : int;
@@ -57,6 +57,9 @@ type t = {
 }
 
 val create : ?timing:Timing.t -> mem_size:int -> unit -> t
+(** A zeroed machine charging every instruction to [timing], by default
+    a fresh [Timing.create Arch.ideal] (unit costs, no caches or
+    predictors). *)
 
 val set_trap_handler : t -> (t -> code:int -> trap_pc:int -> unit) -> unit
 

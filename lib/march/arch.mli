@@ -19,8 +19,9 @@
       all and small but fast caches; pure instruction count decides.
 
     {!ideal} charges one cycle per instruction with perfect prediction
-    and caches; it isolates pure instruction-count overhead and is used
-    by tests that need deterministic arithmetic. *)
+    and caches; it isolates pure instruction-count overhead, is used by
+    tests that need deterministic arithmetic, and is the model of every
+    machine created without an explicit one. *)
 
 type t = {
   name : string;

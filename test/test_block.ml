@@ -98,18 +98,23 @@ let check_three_way label fp_of_mode =
     [ `Block; `Block_nochain ]
 
 (* ------------------------------------------------------------------ *)
-(* Native equivalence: all 14 workloads x archA/archB *)
+(* Native equivalence: all 14 workloads x archA/archB and ideal, the
+   model of every machine loaded without [~timing] *)
 
 let test_native_equivalence () =
   List.iter
     (fun (e : Suite.entry) ->
       let program = Suite.program e `Test in
+      check Alcotest.bool
+        (e.Suite.name ^ ": Loader.load without ~timing runs on ideal")
+        true
+        (Timing.arch (Loader.load program).Machine.timing = Arch.ideal);
       List.iter
         (fun arch ->
           check_three_way
             (Printf.sprintf "native %s on %s" e.Suite.name arch.Arch.name)
             (native_fingerprint arch program))
-        [ Arch.arch_a; Arch.arch_b ])
+        [ Arch.arch_a; Arch.arch_b; Arch.ideal ])
     Suite.all
 
 (* ------------------------------------------------------------------ *)
@@ -749,8 +754,8 @@ let () =
     [
       ( "equivalence",
         [
-          Alcotest.test_case "native: 14 workloads x 2 arches" `Quick
-            test_native_equivalence;
+          Alcotest.test_case "native: 14 workloads x 2 arches and ideal"
+            `Quick test_native_equivalence;
           Alcotest.test_case "sdt: workloads x arches x mechanisms" `Quick
             test_sdt_equivalence;
           QCheck_alcotest.to_alcotest qcheck_block_equivalence;

@@ -27,6 +27,14 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
+let contains haystack sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length haystack
+    && (String.sub haystack i n = sub || go (i + 1))
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Config *)
 
@@ -268,32 +276,28 @@ type run_outcome = {
   out : string;
   chk : int;
   code : int option;
-  cycles : int option;
+  cycles : int;
 }
 
-let run_native ?(timed = false) program =
-  let timing = if timed then Some (Timing.create Arch.arch_a) else None in
-  let m = Loader.load ?timing program in
-  Machine.run ~max_steps:10_000_000 m;
+let outcome m =
   {
     out = Machine.output m;
     chk = m.Machine.checksum;
     code = Machine.exit_code m;
-    cycles = Option.map Timing.cycles timing;
+    cycles = Timing.cycles m.Machine.timing;
   }
 
-let run_sdt ?(timed = false) ?(arch = Arch.arch_a) ~cfg program =
-  let timing = if timed then Some (Timing.create arch) else None in
-  let rt = Runtime.create ~cfg ~arch ?timing program in
+(* native runs default to the machine's own default model, [Arch.ideal] *)
+let run_native ?arch program =
+  let timing = Option.map Timing.create arch in
+  let m = Loader.load ?timing program in
+  Machine.run ~max_steps:10_000_000 m;
+  outcome m
+
+let run_sdt ?(arch = Arch.arch_a) ~cfg program =
+  let rt = Runtime.create ~cfg ~arch program in
   Runtime.run ~max_steps:50_000_000 rt;
-  let m = Runtime.machine rt in
-  ( {
-      out = Machine.output m;
-      chk = m.Machine.checksum;
-      code = Machine.exit_code m;
-      cycles = Option.map Timing.cycles timing;
-    },
-    rt )
+  (outcome (Runtime.machine rt), rt)
 
 let all_mechs : (string * Config.mechanism) list =
   [
@@ -689,15 +693,7 @@ let test_cfi_names_round_trip () =
     (Config.cfi_of_string "comp:8" = Ok (Config.Cfi_compartment { count = 8 }));
   match Config.cfi_of_string "bogus" with
   | Ok _ -> Alcotest.fail "unknown policy accepted"
-  | Error msg ->
-      let mentions sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
-        in
-        go 0
-      in
-      check bool "error lists shepherd" true (mentions "shepherd")
+  | Error msg -> check bool "error lists shepherd" true (contains msg "shepherd")
 
 (* ------------------------------------------------------------------ *)
 (* Shadow-stack edge cases *)
@@ -766,13 +762,7 @@ let run_counting_fallbacks ~cfg program =
          (fun e -> e.Sdt_observe.Event.kind = Sdt_observe.Event.Shadow_fallback)
          (Sdt_observe.Trace.events tracer))
   in
-  ( {
-      out = Machine.output m;
-      chk = m.Machine.checksum;
-      code = Machine.exit_code m;
-      cycles = None;
-    },
-    fallbacks )
+  (outcome m, fallbacks)
 
 let test_shadow_overflow () =
   let program = Assembler.assemble_string deep_recursion_src in
@@ -1036,35 +1026,54 @@ let test_sieve_stats () =
 
 let test_dispatch_slower_than_ibtc () =
   let program = Lazy.force torture_program in
-  let base, _ = run_sdt ~timed:true ~cfg:Config.baseline program in
-  let ibtc, _ = run_sdt ~timed:true ~cfg:Config.default program in
-  let native = run_native ~timed:true program in
-  let c o = Option.get o.cycles in
+  let base, _ = run_sdt ~cfg:Config.baseline program in
+  let ibtc, _ = run_sdt ~cfg:Config.default program in
+  let native = run_native ~arch:Arch.arch_a program in
+  let c o = o.cycles in
   check bool "native fastest" true (c native < c ibtc);
   check bool "ibtc beats dispatch" true (c ibtc < c base)
 
 let test_fast_returns_beat_as_ib () =
   let program = Lazy.force torture_program in
   let as_ib, _ =
-    run_sdt ~timed:true ~cfg:{ Config.default with returns = Config.As_ib } program
+    run_sdt ~cfg:{ Config.default with returns = Config.As_ib } program
   in
   let fast, _ =
-    run_sdt ~timed:true
+    run_sdt
       ~cfg:{ Config.default with returns = Config.Fast_return }
       program
   in
   check bool "fast returns cheaper" true
-    (Option.get fast.cycles < Option.get as_ib.cycles)
+    (fast.cycles < as_ib.cycles)
 
 let test_archb_runs () =
   let program = Lazy.force torture_program in
   let native = run_native program in
   List.iter
     (fun cfg ->
-      let sdt, _ = run_sdt ~timed:true ~arch:Arch.arch_b ~cfg program in
+      let sdt, _ = run_sdt ~arch:Arch.arch_b ~cfg program in
       check string "archB output" native.out sdt.out)
     [ Config.default; Config.baseline;
       { Config.default with mech = Config.Sieve Config.default_sieve } ]
+
+(* Translation follows [~arch] and cycles are charged to [~timing]'s
+   arch, so the two must agree; omitting [~timing] models [~arch]. *)
+let test_arch_timing_mismatch () =
+  let program = Lazy.force torture_program in
+  (match
+     Runtime.create ~cfg:Config.default ~arch:Arch.arch_a
+       ~timing:(Timing.create Arch.arch_b) program
+   with
+  | _ -> Alcotest.fail "mismatched ~timing accepted"
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun (a : Arch.t) ->
+          check bool ("message names " ^ a.Arch.name) true
+            (contains msg a.Arch.name))
+        [ Arch.arch_a; Arch.arch_b ]);
+  let rt = Runtime.create ~cfg:Config.default ~arch:Arch.arch_b program in
+  check string "default timing models ~arch" Arch.arch_b.Arch.name
+    (Timing.arch (Runtime.machine rt).Machine.timing).Arch.name
 
 let test_explicit_flush () =
   (* flushing mid-run must not break correctness: run a few steps,
@@ -1218,7 +1227,7 @@ let prop_timing_arch_independent_semantics =
     (fun arch ->
       let program = Lazy.force torture_program in
       let native = Lazy.force torture_native in
-      let res, _ = run_sdt ~arch ~timed:true ~cfg:Config.default program in
+      let res, _ = run_sdt ~arch ~cfg:Config.default program in
       res.out = native.out && res.chk = native.chk)
 
 let test_ideal_arch_cpi_one () =
@@ -1329,5 +1338,7 @@ let () =
           Alcotest.test_case "fast returns beat as-ib" `Quick
             test_fast_returns_beat_as_ib;
           Alcotest.test_case "archB correctness" `Quick test_archb_runs;
+          Alcotest.test_case "arch/timing mismatch rejected" `Quick
+            test_arch_timing_mismatch;
         ] );
     ]
